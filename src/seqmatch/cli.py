@@ -207,8 +207,6 @@ def cmd_count(args):
 
 
 FUZZ_ALPHABETS = (b"ab", b"acgt", b"abcdefghijklmnopqrstuvwxyz", bytes(range(256)))
-FUZZ_ALGOS = ("sf", "kmp", "l", "al", "hal", "hal2", "hal3", "hal4", "hal5",
-              "nhal")
 
 
 def _fuzz_case(rng):
@@ -235,7 +233,7 @@ def cmd_selftest(args):
         print(f"selftest error: {exc}", file=sys.stderr)
         return 1
     failures = 0
-    fns = [(name, resolve_algorithm(name)) for name in FUZZ_ALGOS]
+    fns = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
     for case in cases:
         want = naive_search(case.text, case.pattern).position
         for name, fn in fns:

@@ -144,16 +144,9 @@ def _l(text, index):
     shifts = index.shifts
     m = len(positions)
     first = positions[0]
-    step = iter(text).__next__
     if m == 1:
-        k = 0
-        try:
-            while True:
-                if step() == first:
-                    return k
-                k += 1
-        except StopIteration:
-            return None
+        return _linear_scan(text, first)
+    step = iter(text).__next__
     # `cur` is the element under the cursor, `k` its position.  Running
     # off the end anywhere means no match, hence the blanket handler.
     k = 0
@@ -207,41 +200,18 @@ def search_l(text, pattern):
     return SearchOutcome(_l(text, index))
 
 
-def _hal(text, pattern, scheme):
+def _skip_scan(text, pattern, skip, skew, probe, mismatch_shift, adjustment):
+    # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
+    # 2 <= m <= n.  `probe` turns the symbol under the probe into a skip
+    # index: None uses the symbol itself, an int is a fold mask, and a
+    # callable is the scheme hash.  `skew` is added to every direct
+    # lookup (the reusable table stores shifts less the skew).  The
+    # probe kind is picked once per skip-loop entry, never per probe.
     n = len(text)
     m = len(pattern)
-    if m == 0:
-        return 0
-    s = scheme.suffix_size
-    if s == 0 or m < s:
-        # scheme cannot cover a probe window; use the forward search
-        return _l(text, compute_forward_index(pattern))
-    if n < m:
-        return None
     first = pattern[0]
-    if m == 1:
-        return _linear_scan(text, first)
     shifts = compute_next(pattern)
-    table = compute_skip(pattern, scheme, n)
-    skip = table.shifts
-    mismatch_shift = table.mismatch_shift
-    adjustment = table.adjustment
-    # Inline the hash into the probe where the element type allows it:
-    # byte values index the 256-entry table as-is; wider int elements
-    # keep the fold mask in the loop.
-    fold = scheme.fold_mask
-    direct = None
-    if fold is not None:
-        if isinstance(text, (bytes, bytearray)):
-            direct = skip
-        elif isinstance(text, array):
-            if text.typecode == "B":
-                direct = skip
-            elif text.typecode not in _INT_ARRAY_TYPECODES:
-                fold = None
-        else:
-            fold = None
-    hash_ = scheme.hash
+    fold = probe if isinstance(probe, int) else None
     # k is the text position translated by -n, so exit tests compare
     # against zero and `large` entries force an exit by sheer size.
     # The skip loop itself runs on pos = n + k, hoisting the base
@@ -252,15 +222,19 @@ def _hal(text, pattern, scheme):
         if k >= 0:
             return None
         pos = n + k
-        if direct is not None:
-            while pos < n:
-                pos += direct[text[pos]]
+        if probe is None:
+            if skew:
+                while pos < n:
+                    pos += skip[text[pos]] + skew
+            else:
+                while pos < n:
+                    pos += skip[text[pos]]
         elif fold is not None:
             while pos < n:
                 pos += skip[text[pos] & fold]
         else:
             while pos < n:
-                pos += skip[hash_(text, pos)]
+                pos += skip[probe(text, pos)]
         k = pos - n
         if k < m:
             return None  # ran off the end without a tail match
@@ -293,6 +267,37 @@ def _hal(text, pattern, scheme):
                     return n + k - m
                 if k == 0:
                     return None
+
+
+def _hal(text, pattern, scheme):
+    n = len(text)
+    m = len(pattern)
+    if m == 0:
+        return 0
+    s = scheme.suffix_size
+    if s == 0 or m < s:
+        # scheme cannot cover a probe window; use the forward search
+        return _l(text, compute_forward_index(pattern))
+    if n < m:
+        return None
+    if m == 1:
+        return _linear_scan(text, pattern[0])
+    table = compute_skip(pattern, scheme, n)
+    # Inline the hash into the probe where the element type allows it:
+    # byte values index the 256-entry table as-is; wider int elements
+    # keep the fold mask in the loop.
+    probe = scheme.hash
+    fold = scheme.fold_mask
+    if fold is not None:
+        if isinstance(text, (bytes, bytearray)):
+            probe = None
+        elif isinstance(text, array):
+            if text.typecode == "B":
+                probe = None
+            elif text.typecode in _INT_ARRAY_TYPECODES:
+                probe = fold
+    return _skip_scan(text, pattern, table.shifts, 0, probe,
+                      table.mismatch_shift, table.adjustment)
 
 
 def search_hal(text, pattern, scheme=None):
@@ -345,10 +350,8 @@ def _nhal(text, pattern, table):
         return None
     if min(pattern) < 0 or max(pattern) >= table.size:
         raise ValueError("pattern symbols exceed the table's 16-bit domain")
-    first = pattern[0]
     if m == 1:
-        return _linear_scan(text, first)
-    shifts = compute_next(pattern)
+        return _linear_scan(text, pattern[0])
     slots = table.slots
     skew = m  # suffix size 1, so the default shift is m - 1 + 1
     try:
@@ -357,48 +360,13 @@ def _nhal(text, pattern, table):
         tail = pattern[m - 1]
         mismatch_shift = slots[tail] + skew
         large = n + 1
-        adjustment = large + m - 1
         slots[tail] = large - skew
-        k = -n
-        while True:
-            k += m - 1
-            if k >= 0:
-                return None
-            pos = n + k
-            while pos < n:
-                pos += slots[text[pos]] + skew
-            k = pos - n
-            if k < m:
-                return None
-            k -= adjustment
-            if text[n + k] != first:
-                k += mismatch_shift
-                continue
-            j = 1
-            while True:
-                k += 1
-                if text[n + k] != pattern[j]:
-                    break
-                j += 1
-                if j == m:
-                    return n + k - m + 1
-            if mismatch_shift > j:
-                k += mismatch_shift - j
-                continue
-            while True:
-                j = shifts[j]
-                if j < 0:
-                    k += 1
-                    break
-                if j == 0:
-                    break
-                while text[n + k] == pattern[j]:
-                    k += 1
-                    j += 1
-                    if j == m:
-                        return n + k - m
-                    if k == 0:
-                        return None
+        return _skip_scan(text, pattern, slots, skew, None,
+                          mismatch_shift, large + m - 1)
+    except IndexError:
+        # only a probed text symbol can index past the table
+        raise ValueError("text symbols exceed the table's 16-bit domain") \
+            from None
     finally:
         for j in range(m):
             slots[pattern[j]] = 0

@@ -4,7 +4,8 @@ import pytest
 from oracles import naive_find
 
 from seqmatch import (BYTE, DNA4, CountingSequence, OperationCounts,
-                      english_like_text, run_counted, search_hal)
+                      dna_text, english_like_text, random16_text, run_counted,
+                      search_hal)
 from seqmatch.counting import COUNT_FIELDS, CountingValue
 
 
@@ -129,3 +130,83 @@ def test_text_read_budget_stays_linear():
             _, counts = run_counted(name, text, pattern)
             reads = counts.cursor_big_jumps + counts.cursor_other_ops
             assert reads <= 4 * (n + m), (name, n, m, reads)
+
+
+def _pinned_inputs():
+    text = english_like_text(3000, seed=3)
+    dna = dna_text(3000, seed=4)
+    ab = bytes(random.Random(5).choices(b"ab", k=800))
+    wide = random16_text(2000, seed=6)
+    return {
+        "english-present": (text, text[2100:2112]),
+        "english-absent": (text, b"quixotic zebra"),
+        "dna-present": (dna, dna[2500:2530]),
+        "dna-absent": (dna, b"acgtacgtacgtacgtacgtacgtac"),
+        "ab-recovery": (ab, ab[700:711]),
+        "wide-present": (wide, wide[1500:1506]),
+    }
+
+
+# (position, (comparisons, accesses, big jumps, other cursor ops)) per
+# skip-loop algorithm; any change to these is a change to the counted
+# reports, so it must be deliberate.
+PINNED_COUNTS = {
+    "english-present": {
+        "al": (2100, (14, 245, 233, 26)),
+        "hal": (2100, (14, 245, 233, 26)),
+        "hal2": (2100, (14, 408, 202, 220)),
+        "hal3": (2100, (12, 639, 211, 440)),
+        "hal4": (2100, (13, 960, 238, 735)),
+        "hal5": (2100, (14, 1345, 265, 1094)),
+        "nhal": (2100, (14, 245, 233, 26)),
+    },
+    "english-absent": {
+        "al": (None, (23, 315, 327, 11)),
+        "hal": (None, (23, 315, 327, 11)),
+        "hal2": (None, (0, 504, 237, 267)),
+        "hal3": (None, (1, 762, 250, 513)),
+        "hal4": (None, (1, 1108, 271, 838)),
+        "hal5": (None, (1, 1515, 299, 1217)),
+        "nhal": (None, (23, 315, 327, 11)),
+    },
+    "dna-present": {
+        "al": (2500, (306, 843, 1054, 95)),
+        "hal": (2500, (306, 843, 1054, 95)),
+        "hal2": (2500, (42, 374, 180, 236)),
+        "hal3": (2500, (31, 327, 106, 252)),
+        "hal4": (2500, (33, 428, 107, 354)),
+        "hal5": (2500, (39, 555, 114, 480)),
+        "nhal": (2500, (306, 843, 1054, 95)),
+    },
+    "dna-absent": {
+        "al": (None, (361, 1195, 1188, 368)),
+        "hal": (None, (361, 1195, 1188, 368)),
+        "hal2": (None, (8, 296, 134, 170)),
+        "hal3": (None, (3, 396, 127, 272)),
+        "hal4": (None, (0, 532, 129, 403)),
+        "hal5": (None, (2, 690, 139, 553)),
+        "nhal": (None, (361, 1195, 1188, 368)),
+    },
+    "ab-recovery": {
+        "al": (174, (119, 93, 101, 111)),
+        "hal": (174, (119, 93, 101, 111)),
+        "hal2": (174, (52, 90, 50, 92)),
+        "hal3": (174, (14, 78, 26, 66)),
+        "hal4": (174, (14, 120, 26, 108)),
+        "hal5": (174, (16, 150, 31, 135)),
+        "nhal": (174, (119, 93, 101, 111)),
+    },
+    "wide-present": {
+        "hal": (1500, (7, 254, 253, 8)),
+        "nhal": (1500, (6, 251, 251, 6)),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUNTS))
+def test_skip_loop_counts_are_pinned(case):
+    text, pattern = _pinned_inputs()[case]
+    for name, (position, tallies) in PINNED_COUNTS[case].items():
+        outcome, counts = run_counted(name, text, pattern)
+        assert outcome.position == position, name
+        assert counts == OperationCounts(*tallies), name

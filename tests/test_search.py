@@ -175,6 +175,16 @@ def test_nhal_rejects_out_of_domain_patterns():
         search_nhal([1, 2, 3], [-1, 2])
 
 
+def test_nhal_rejects_out_of_domain_text_symbols():
+    table = ReusableSkipTable()
+    with pytest.raises(ValueError, match="text symbols exceed"):
+        search_nhal([1, 70000, 5, 2, 3], [2, 3], table)
+    assert all(v == 0 for v in table.slots)
+    with pytest.raises(ValueError, match="text symbols exceed"):
+        search_nhal(array("I", [4, 1 << 16, 5, 9, 9]), [9, 9], table)
+    assert all(v == 0 for v in table.slots)
+
+
 def test_dispatch_capability_routing():
     text = b"some text with a needle in it"
     assert dispatch_search(text, b"needle").position == 17
