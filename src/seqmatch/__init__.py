@@ -18,8 +18,7 @@ from .counting import (CountingSequence, CountingValue, OperationCounts,
 from .errors import (CorrectnessMismatch, EmptyPattern, SuffixTooLong,
                      TestFileError, WindowUnderflow)
 from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
-                      WORD_HEAD, ZERO, ByteScheme, DnaScheme2, DnaScheme3,
-                      DnaScheme4, DnaScheme5, HashScheme, Mod256Scheme,
+                      WORD_HEAD, ZERO, HashScheme, ShiftSumScheme,
                       WordHeadScheme, ZeroScheme, default_scheme_for,
                       hash_window)
 from .search import (ALGORITHM_NAMES, Capability, ReusableSkipTable,

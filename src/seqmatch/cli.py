@@ -117,19 +117,21 @@ def cmd_find(args):
             raise ValueError("give exactly one of --pattern/--pattern-file")
     except ValueError as exc:
         return _fail(exc)
+    scheme = SCHEMES[args.scheme] if args.scheme else None
     try:
         if args.pattern is not None:
             pattern = decode_pattern(args.pattern)
         else:
             pattern = open(args.pattern_file, "rb").read()
         text = open(args.text, "rb").read()
+        # a scheme that does not fit the elements raises ValueError too
+        if args.algo:
+            outcome = resolve_algorithm(args.algo, scheme=scheme)(
+                text, pattern)
+        else:
+            outcome = dispatch_search(text, pattern, scheme=scheme)
     except (OSError, ValueError) as exc:
         return _fail(exc)
-    scheme = SCHEMES[args.scheme] if args.scheme else None
-    if args.algo:
-        outcome = resolve_algorithm(args.algo, scheme=scheme)(text, pattern)
-    else:
-        outcome = dispatch_search(text, pattern, scheme=scheme)
     if outcome.found:
         print(outcome.position)
         return 0

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 
 from .schemes import default_scheme_for
-from .search import SearchOutcome, resolve_algorithm
+from .search import resolve_algorithm
 
 COUNT_FIELDS = ("element_comparisons", "element_accesses",
                 "cursor_big_jumps", "cursor_other_ops", "distance_ops")
@@ -136,9 +136,9 @@ def run_counted(algorithm, text, pattern, scheme=None):
 
     ``algorithm`` is a name from :data:`seqmatch.search.ALGORITHM_NAMES`
     or a ``(text, pattern) -> SearchOutcome`` callable; ``scheme`` only
-    applies to "hal".  Returns ``(outcome, counts)`` where the
-    outcome's position always equals the uncounted run's and also
-    carries the counts.
+    applies to "hal".  Returns ``(outcome, counts)``: the search's own
+    outcome, whose position always equals the uncounted run's, and the
+    tallies.
     """
     if callable(algorithm):
         fn = algorithm
@@ -149,5 +149,4 @@ def run_counted(algorithm, text, pattern, scheme=None):
             scheme = default_scheme_for(text)
         fn = resolve_algorithm(algorithm, scheme=scheme)
     sink = OperationCounts()
-    outcome = fn(CountingSequence(text, sink), pattern)
-    return SearchOutcome(outcome.position, counts=sink), sink
+    return fn(CountingSequence(text, sink), pattern), sink

@@ -7,18 +7,37 @@ into ``[0, hash_range_max)``.  The one hard requirement is
 compatibility with element equality: equal windows must hash equal.
 Hash quality beyond that only affects speed, never correctness, so the
 built-ins lean toward cheap arithmetic.
+
+The integer schemes are all one ``ShiftSumScheme(shifts, mask)``: the
+``len(shifts)`` trailing symbol values, oldest first, each shifted left
+by its entry of ``shifts``, then summed and masked.
+
+    byte, mod256   (0,)              255
+    dna2           (0, 3)            63
+    dna3           (0, 3, 6)         511
+    dna4           (0, 2, 4, 6)      255
+    dna5           (0, 2, 4, 6, 8)   255
+
+``byte`` (bytes and strings) and ``mod256`` (wide integer symbols) hash
+alike but stay distinct objects.  The DNA schemes target 4-letter
+alphabets with long patterns but accept any byte-valued data.
 """
+
+import operator
+from array import array
 
 from .errors import WindowUnderflow
 
 
 def _val(x):
-    """Integer value of a symbol: ints pass through, characters use ord."""
+    """Integer value of a symbol: ints pass through, characters use ord;
+    anything else raises ValueError."""
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
-        return ord(x)
-    return x.__index__()
+    try:
+        return ord(x) if isinstance(x, str) else operator.index(x)
+    except TypeError:
+        raise ValueError(f"symbol {x!r} has no integer value") from None
 
 
 class HashScheme:
@@ -26,12 +45,16 @@ class HashScheme:
 
     hash_range_max = 0
     suffix_size = 0
-    # When set, hash(seq, i) == _val(seq[i]) & fold_mask, so the skip
-    # loop may inline the lookup for int-valued sequences.
-    fold_mask = None
 
     def hash(self, seq, pos):
         raise NotImplementedError
+
+    def probe(self, seq):
+        """The skip loop's form of ``hash`` for ``seq``, picked once per
+        search: None indexes the table by the symbol itself, an int is
+        a fold mask (``hash(seq, i) == seq[i] & mask``), and a callable
+        is used as ``hash``."""
+        return self.hash
 
 
 class ZeroScheme(HashScheme):
@@ -41,66 +64,56 @@ class ZeroScheme(HashScheme):
         return 0
 
 
-class ByteScheme(HashScheme):
-    """Identity hash over byte-valued (or single-character) elements."""
+class ShiftSumScheme(HashScheme):
+    """``sum(_val(seq[pos-s+1+i]) << shifts[i]) & mask`` over the window
+    of ``s = len(shifts)`` symbols ending at ``pos``, read oldest first."""
 
-    hash_range_max = 256
-    suffix_size = 1
-    fold_mask = 255
+    def __init__(self, shifts, mask):
+        self.shifts = shifts = tuple(shifts)
+        self.mask = mask
+        self.suffix_size = len(shifts)
+        self.hash_range_max = mask + 1
+        first = 1 - len(shifts)
 
-    def hash(self, seq, pos):
-        return _val(seq[pos]) & 255
+        def int_shift_sum(seq, pos):  # int-valued buffers need no _val
+            h = 0
+            i = pos + first
+            for shift in shifts:
+                h += seq[i] << shift
+                i += 1
+            return h & mask
 
+        def shift_sum(val):
+            def hash(seq, pos):
+                h = 0
+                i = pos + first
+                for shift in shifts:
+                    h += val(seq[i]) << shift
+                    i += 1
+                return h & mask
+            return hash
 
-class Mod256Scheme(HashScheme):
-    """Low eight bits of a wide integer symbol (16-bit alphabets and up)."""
+        # A plain fold skips the loop: compute_skip calls the hash once
+        # per pattern symbol, and the loop would double that cost.
+        self.hash = (shift_sum(_val) if shifts != (0,)
+                     else lambda seq, pos: _val(seq[pos]) & mask)
+        self._int_hash = int_shift_sum
+        self._str_hash = shift_sum(ord)  # skips _val's type tests
 
-    hash_range_max = 256
-    suffix_size = 1
-    fold_mask = 255
-
-    def hash(self, seq, pos):
-        return _val(seq[pos]) & 255
-
-
-# The DNA schemes fold several trailing symbols into one bucket by
-# adding shifted copies of their values.  They were built for 4-letter
-# alphabets with long patterns but accept any byte-valued data.
-
-class DnaScheme2(HashScheme):
-    hash_range_max = 64
-    suffix_size = 2
-
-    def hash(self, seq, pos):
-        return (_val(seq[pos - 1]) + (_val(seq[pos]) << 3)) & 63
-
-
-class DnaScheme3(HashScheme):
-    hash_range_max = 512
-    suffix_size = 3
-
-    def hash(self, seq, pos):
-        return (_val(seq[pos - 2]) + (_val(seq[pos - 1]) << 3)
-                + (_val(seq[pos]) << 6)) & 511
-
-
-class DnaScheme4(HashScheme):
-    hash_range_max = 256
-    suffix_size = 4
-
-    def hash(self, seq, pos):
-        return (_val(seq[pos - 3]) + (_val(seq[pos - 2]) << 2)
-                + (_val(seq[pos - 1]) << 4) + (_val(seq[pos]) << 6)) & 255
-
-
-class DnaScheme5(HashScheme):
-    hash_range_max = 256
-    suffix_size = 5
-
-    def hash(self, seq, pos):
-        return (_val(seq[pos - 4]) + (_val(seq[pos - 3]) << 2)
-                + (_val(seq[pos - 2]) << 4) + (_val(seq[pos - 1]) << 6)
-                + (_val(seq[pos]) << 8)) & 255
+    def probe(self, seq):
+        if isinstance(seq, array) and seq.typecode in "bBhHiIlLqQ":
+            byte_valued = seq.typecode == "B"
+        elif isinstance(seq, (bytes, bytearray)):
+            byte_valued = True
+        elif isinstance(seq, str) and self.shifts != (0,):
+            return self._str_hash
+        else:
+            return self.hash
+        if self.shifts != (0,):
+            return self._int_hash
+        if byte_valued and self.mask & 255 == 255:
+            return None  # every byte value is its own bucket
+        return self.mask
 
 
 class WordHeadScheme(HashScheme):
@@ -111,9 +124,10 @@ class WordHeadScheme(HashScheme):
 
     def hash(self, seq, pos):
         word = seq[pos]
-        if len(word) == 0:
-            return 0
-        return _val(word[0]) & 255
+        try:
+            return _val(word[0]) & 255 if len(word) else 0
+        except TypeError:
+            raise ValueError(f"element {word!r} is not a word") from None
 
 
 def hash_window(scheme, seq, pos):
@@ -129,12 +143,12 @@ def hash_window(scheme, seq, pos):
     return scheme.hash(seq, pos)
 
 
-BYTE = ByteScheme()
-MOD256 = Mod256Scheme()
-DNA2 = DnaScheme2()
-DNA3 = DnaScheme3()
-DNA4 = DnaScheme4()
-DNA5 = DnaScheme5()
+BYTE = ShiftSumScheme((0,), 255)
+MOD256 = ShiftSumScheme((0,), 255)
+DNA2 = ShiftSumScheme((0, 3), 63)
+DNA3 = ShiftSumScheme((0, 3, 6), 511)
+DNA4 = ShiftSumScheme((0, 2, 4, 6), 255)
+DNA5 = ShiftSumScheme((0, 2, 4, 6, 8), 255)
 WORD_HEAD = WordHeadScheme()
 ZERO = ZeroScheme()
 

@@ -18,7 +18,6 @@ scan.  Searches never mutate their inputs and may run concurrently,
 except that one ``ReusableSkipTable`` serves one search at a time.
 """
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,16 +25,12 @@ from .errors import EmptyPattern
 from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, default_scheme_for
 from .tables import compute_forward_index, compute_next, compute_skip
 
-_INT_ARRAY_TYPECODES = frozenset("bBhHiIlLqQ")
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Offset of the first match (or None), plus operation counts when
-    the run was instrumented."""
+    """Offset of the first match, or None when the pattern is absent."""
 
     position: "int | None"
-    counts: "object | None" = None
 
     @property
     def found(self):
@@ -283,19 +278,7 @@ def _hal(text, pattern, scheme):
     if m == 1:
         return _linear_scan(text, pattern[0])
     table = compute_skip(pattern, scheme, n)
-    # Inline the hash into the probe where the element type allows it:
-    # byte values index the 256-entry table as-is; wider int elements
-    # keep the fold mask in the loop.
-    probe = scheme.hash
-    fold = scheme.fold_mask
-    if fold is not None:
-        if isinstance(text, (bytes, bytearray)):
-            probe = None
-        elif isinstance(text, array):
-            if text.typecode == "B":
-                probe = None
-            elif text.typecode in _INT_ARRAY_TYPECODES:
-                probe = fold
+    probe = scheme.probe(text)
     return _skip_scan(text, pattern, table.shifts, 0, probe,
                       table.mismatch_shift, table.adjustment)
 
@@ -363,8 +346,9 @@ def _nhal(text, pattern, table):
         slots[tail] = large - skew
         return _skip_scan(text, pattern, slots, skew, None,
                           mismatch_shift, large + m - 1)
-    except IndexError:
-        # only a probed text symbol can index past the table
+    except (IndexError, TypeError):
+        # only a probed text symbol can index past the table, or fail
+        # to index it at all
         raise ValueError("text symbols exceed the table's 16-bit domain") \
             from None
     finally:

@@ -57,6 +57,14 @@ def test_find_with_scheme(corpus_file, capsys):
     assert capsys.readouterr().out.strip() == "36"
 
 
+def test_find_rejects_a_scheme_that_misfits_the_text(corpus_file, capsys):
+    # byte elements are not words: exit 2 with a message, no traceback
+    for algo in ([], ["--algo", "hal"]):
+        assert main(["find", "--text", corpus_file, "--pattern", "panic",
+                     "--scheme", "word"] + algo) == 2
+        assert "not a word" in capsys.readouterr().err
+
+
 def test_find_pattern_file(corpus_file, tmp_path, capsys):
     pf = tmp_path / "pattern.bin"
     pf.write_bytes(b"good men")

@@ -59,7 +59,6 @@ def test_counted_outcomes_match_uncounted(subtests=None):
         for name in ("sf", "kmp", "l", "al", "hal", "hal2", "nhal"):
             outcome, counts = run_counted(name, text, pattern)
             assert outcome.position == want, name
-            assert outcome.counts is counts
             assert counts.total() >= 0
 
 

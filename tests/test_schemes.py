@@ -1,12 +1,15 @@
 import random
+from array import array
 
 import pytest
 
 from seqmatch import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
-                      WORD_HEAD, ZERO, WindowUnderflow, default_scheme_for,
-                      hash_window)
+                      WORD_HEAD, ZERO, ShiftSumScheme, WindowUnderflow,
+                      default_scheme_for, hash_window)
 
-_RANGED = [BYTE, MOD256, DNA2, DNA3, DNA4, DNA5, WORD_HEAD]
+_RANGED = {name: s for name, s in SCHEMES.items() if s is not ZERO}
+_SHIFT_SUMS = {name: s for name, s in SCHEMES.items()
+               if isinstance(s, ShiftSumScheme)}
 
 
 def test_hash_window_examples():
@@ -35,7 +38,7 @@ def test_window_underflow():
         hash_window(BYTE, b"a", -1)
 
 
-@pytest.mark.parametrize("scheme", _RANGED, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("scheme", _RANGED.values(), ids=list(_RANGED))
 def test_hash_range_bound(scheme):
     rng = random.Random(7)
     for _ in range(500):
@@ -50,7 +53,7 @@ def test_hash_range_bound(scheme):
         assert 0 <= h < scheme.hash_range_max
 
 
-@pytest.mark.parametrize("scheme", _RANGED, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("scheme", _RANGED.values(), ids=list(_RANGED))
 def test_equal_windows_hash_equal(scheme):
     rng = random.Random(8)
     for _ in range(300):
@@ -66,6 +69,46 @@ def test_equal_windows_hash_equal(scheme):
             copy = bytearray(window)  # equal content, different type
         pos = len(window) - 1
         assert scheme.hash(window, pos) == scheme.hash(copy, pos)
+
+
+@pytest.mark.parametrize("scheme", _SHIFT_SUMS.values(),
+                         ids=list(_SHIFT_SUMS))
+def test_probe_agrees_with_hash(scheme):
+    rng = random.Random(9)
+    values = [rng.randrange(256) for _ in range(40)]
+    seqs = [bytes(values), bytearray(values), array("B", values),
+            array("b", [v - 128 for v in values]),
+            array("H", [v * 257 for v in values]),
+            array("i", [v * 65537 - (1 << 23) for v in values]),
+            list(values), "".join(map(chr, values))]
+    for seq in seqs:
+        probe = scheme.probe(seq)
+        for pos in range(scheme.suffix_size - 1, len(seq)):
+            if probe is None:
+                got = seq[pos]
+            elif isinstance(probe, int):
+                got = seq[pos] & probe
+            else:
+                got = probe(seq, pos)
+            assert got == scheme.hash(seq, pos), (seq, pos)
+
+
+def test_probe_specializes_buffers_and_strings():
+    assert BYTE.probe(b"ab") is None
+    assert BYTE.probe(array("B")) is None
+    assert MOD256.probe(array("H")) == 255
+    assert BYTE.probe(array("b")) == 255  # negative symbols still fold
+    # multi-symbol windows get loops that skip _val's type tests
+    assert DNA4.probe(bytearray()) is not DNA4.hash
+    assert DNA4.probe("acgt") is not DNA4.hash
+    assert DNA4.probe(array("d")) is DNA4.hash
+
+
+def test_misfit_symbols_raise_value_error():
+    with pytest.raises(ValueError, match="no integer value"):
+        DNA2.hash(["ab", "c"], 1)  # a word is not one symbol
+    with pytest.raises(ValueError, match="not a word"):
+        WORD_HEAD.hash(b"panic", 0)
 
 
 def test_str_and_bytes_windows_agree():

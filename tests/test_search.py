@@ -4,7 +4,7 @@ from array import array
 import pytest
 from oracles import naive_find
 
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, ZERO, Capability,
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, Capability,
                       HashScheme, ReusableSkipTable, dispatch_search,
                       naive_search, random16_text, resolve_algorithm,
                       search_al, search_hal, search_kmp_basic, search_l,
@@ -182,6 +182,19 @@ def test_nhal_rejects_out_of_domain_text_symbols():
     assert all(v == 0 for v in table.slots)
     with pytest.raises(ValueError, match="text symbols exceed"):
         search_nhal(array("I", [4, 1 << 16, 5, 9, 9]), [9, 9], table)
+    assert all(v == 0 for v in table.slots)
+
+
+def test_non_integer_symbols_raise_value_error():
+    floats = array("d", [1.0, 2.0, 3.0])
+    for scheme in (BYTE, DNA2):
+        with pytest.raises(ValueError, match="no integer value"):
+            search_hal(floats, array("d", [2.0, 3.0]), scheme)
+        with pytest.raises(ValueError, match="no integer value"):
+            search_hal(floats, [2, 3], scheme)  # only the text misfits
+    table = ReusableSkipTable()
+    with pytest.raises(ValueError, match="text symbols"):
+        search_nhal(floats, [2, 3], table)
     assert all(v == 0 for v in table.slots)
 
 
