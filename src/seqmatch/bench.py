@@ -1,14 +1,19 @@
 """Timing and counting harnesses with cross-checked results.
 
-Every run drives each algorithm over the same pattern plan.  The first
-algorithm's positions become the baseline; any disagreement aborts with
-:class:`~seqmatch.errors.CorrectnessMismatch`.  Timed cells repeat the
-whole pattern set until at least ``min_cell_seconds`` of wall clock has
-elapsed, report the fastest single pass (stable under scheduling
-noise), and subtract the "dummy" baseline (the plan-driving loop with
-no search in it), which also gets rows of its own.  Counted cells
-replace timing with exact per-character operation counts, so their
-reports are byte-for-byte reproducible.
+Both harnesses walk the same cells: every algorithm over each plan
+size's patterns.  The first algorithm's positions become the baseline;
+any disagreement aborts with :class:`~seqmatch.errors.CorrectnessMismatch`.
+
+Timed runs then time every cell of the run, with a "dummy" baseline per
+size (the plan-driving loop with no search in it, which also gets rows
+of its own), in one interleaved rotation: each round gives one pass over
+its patterns to every cell that still has less than
+``min_cell_seconds`` of wall clock or fewer than 2 passes.  Cells that a
+report compares, across algorithms and sizes alike, are so measured
+under the same host load.  A cell reports its fastest pass (stable under
+scheduling noise) less its size's dummy pass.  Counted runs replace
+timing with exact per-character operation counts, summed over each
+cell's patterns, so their reports are byte-for-byte reproducible.
 
 Speeds are elements per microsecond: total search length (match
 distance + pattern size, summed over the plan) / 1e6 / seconds.
@@ -25,8 +30,7 @@ from .search import ReusableSkipTable, resolve_algorithm
 TSV_COLUMNS = ("corpus", "algorithm", "pattern_size", "total_elements",
                "seconds", "elements_per_us")
 TSV_COUNT_COLUMNS = ("comparisons_per_char", "accesses_per_char",
-                     "big_jumps_per_char", "other_cursor_ops_per_char",
-                     "distance_ops_per_char")
+                     "big_jumps_per_char", "other_cursor_ops_per_char")
 
 DUMMY = "dummy"
 
@@ -74,28 +78,43 @@ class BenchReport:
         raise KeyError((algorithm, pattern_size))
 
 
-def _resolve_all(algorithms, hal_scheme):
-    # shared so every "nhal" cell reuses one zero-filled table
-    nhal_table = ReusableSkipTable()
+def _walk(corpus, plan, algorithms, hal_scheme, counted=False):
+    """Yield ``(m, patterns, cells)`` per plan size, each cell a cross-checked
+    ``(name, fn, total_elements, counts)``; only counted runs fill counts."""
     if isinstance(algorithms, dict):
-        return list(algorithms.items())
-    return [(name, resolve_algorithm(name, scheme=hal_scheme,
-                                     nhal_table=nhal_table))
-            for name in algorithms]
-
-
-def _positions_and_total(fn, corpus, patterns, n, m):
-    positions = [fn(corpus, p).position for p in patterns]
-    total = sum((pos if pos is not None else n) + m for pos in positions)
-    return positions, total
-
-
-def _cross_check(name, positions, baseline, patterns):
-    for i, (got, want) in enumerate(zip(positions, baseline)):
-        if got != want:
-            raise CorrectnessMismatch(
-                f"algorithm {name!r} returned {got} for pattern #{i} "
-                f"({patterns[i]!r}), baseline says {want}")
+        resolved = list(algorithms.items())
+    else:
+        nhal_table = ReusableSkipTable()  # shared by every "nhal" cell
+        resolved = [(name, resolve_algorithm(name, scheme=hal_scheme,
+                                             nhal_table=nhal_table))
+                    for name in algorithms]
+    n = len(corpus)
+    for m in plan.sizes:
+        patterns = plan.patterns[m]
+        baseline = None
+        cells = []
+        for name, fn in resolved:
+            sink = OperationCounts()
+            positions = []
+            for p in patterns:
+                if counted:
+                    outcome, counts = run_counted(fn, corpus, p)
+                    for fname in COUNT_FIELDS:
+                        setattr(sink, fname, getattr(sink, fname)
+                                + getattr(counts, fname))
+                else:
+                    outcome = fn(corpus, p)
+                positions.append(outcome.position)
+            if baseline is None:
+                baseline = positions
+            for i, (got, want) in enumerate(zip(positions, baseline)):
+                if got != want:
+                    raise CorrectnessMismatch(
+                        f"algorithm {name!r} returned {got} for pattern "
+                        f"#{i} ({patterns[i]!r}), baseline says {want}")
+            total = sum((n if pos is None else pos) + m for pos in positions)
+            cells.append((name, fn, total, sink))
+        yield m, patterns, cells
 
 
 def run_bench(corpus, plan, algorithms, corpus_name="corpus",
@@ -107,64 +126,50 @@ def run_bench(corpus, plan, algorithms, corpus_name="corpus",
     correctness pass still runs but seconds and speeds are reported as
     zero, which makes the output deterministic.
     """
-    resolved = _resolve_all(algorithms, hal_scheme)
-    n = len(corpus)
-    report = BenchReport()
-    clock = time.perf_counter
-    for m in plan.sizes:
-        patterns = plan.patterns[m]
-        baseline = None
-        base_seconds = 0.0
-        if time_runs:
-            base_seconds = _time_reps(lambda: _dummy_pass(patterns),
-                                      clock, min_cell_seconds)
-            report.rows.append(BenchRow(corpus_name, DUMMY, m, 0,
-                                        base_seconds, 0.0))
-        else:
-            report.rows.append(BenchRow(corpus_name, DUMMY, m, 0, 0.0, 0.0))
-        for name, fn in resolved:
-            positions, total = _positions_and_total(fn, corpus, patterns, n, m)
-            if baseline is None:
-                baseline = positions
+    timed = []  # (row, fn, patterns) per cell; fn None marks a dummy
+    for m, patterns, cells in _walk(corpus, plan, algorithms, hal_scheme):
+        timed.append((BenchRow(corpus_name, DUMMY, m, 0, 0.0, 0.0), None,
+                      patterns))
+        for name, fn, total, _ in cells:
+            timed.append((BenchRow(corpus_name, name, m, total, 0.0, 0.0),
+                          fn, patterns))
+    report = BenchReport([row for row, _, _ in timed])
+    if time_runs:
+        best = _fastest_passes(corpus, timed, min_cell_seconds)
+        for (row, fn, _), seconds in zip(timed, best):
+            if fn is None:  # each size's dummy precedes its cells
+                row.seconds = base = seconds
             else:
-                _cross_check(name, positions, baseline, patterns)
-            if time_runs:
-                seconds = _time_reps(lambda: _search_pass(fn, corpus, patterns),
-                                     clock, min_cell_seconds)
-                seconds = max(seconds - base_seconds, 1e-9)
-                speed = total / 1e6 / seconds
-            else:
-                seconds = 0.0
-                speed = 0.0
-            report.rows.append(
-                BenchRow(corpus_name, name, m, total, seconds, speed))
+                row.seconds = max(seconds - base, 1e-9)
+                row.elements_per_us = row.total_elements / 1e6 / row.seconds
     return report
 
 
-def _dummy_pass(patterns):
-    # selection overhead baseline: drive the plan, search nothing
-    for _ in patterns:
-        pass
-
-
-def _search_pass(fn, corpus, patterns):
-    for p in patterns:
-        fn(corpus, p)
-
-
-def _time_reps(body, clock, min_seconds):
-    # fastest full pass over the plan: robust against descheduling blips
-    best = None
-    total = 0.0
-    passes = 0
-    while total < min_seconds or passes < 2:
+def _fastest_passes(corpus, cells, min_seconds):
+    # One rotation over every (row, fn, patterns) cell.  A pass runs from the
+    # end of the one before: each holds the loop overhead the dummy subtracts.
+    clock = time.perf_counter
+    best = [float("inf")] * len(cells)
+    spent = [0.0] * len(cells)
+    active = range(len(cells))
+    rounds = 0
+    while active:
         start = clock()
-        body()
-        elapsed = clock() - start
-        total += elapsed
-        passes += 1
-        if best is None or elapsed < best:
-            best = elapsed
+        for i in active:
+            _, fn, patterns = cells[i]
+            if fn is None:
+                for _ in patterns:
+                    pass
+            else:
+                for p in patterns:
+                    fn(corpus, p)
+            end = clock()
+            elapsed = end - start
+            start = end
+            spent[i] += elapsed
+            best[i] = min(best[i], elapsed)
+        rounds += 1
+        active = [i for i in active if spent[i] < min_seconds or rounds < 2]
     return best
 
 
@@ -180,28 +185,10 @@ def run_counts(corpus, plan, algorithms, corpus_name="corpus",
         # the counting proxy hides the element type, so pin the default
         # scheme from the raw corpus up front
         hal_scheme = default_scheme_for(corpus)
-    resolved = _resolve_all(algorithms, hal_scheme)
-    n = len(corpus)
     report = BenchReport(counted=True)
-    for m in plan.sizes:
-        patterns = plan.patterns[m]
-        baseline = None
-        for name, fn in resolved:
-            sink = OperationCounts()
-            positions = []
-            total = 0
-            for p in patterns:
-                outcome, counts = run_counted(fn, corpus, p)
-                positions.append(outcome.position)
-                pos = outcome.position if outcome.position is not None else n
-                total += pos + m
-                for fname in COUNT_FIELDS:
-                    setattr(sink, fname,
-                            getattr(sink, fname) + getattr(counts, fname))
-            if baseline is None:
-                baseline = positions
-            else:
-                _cross_check(name, positions, baseline, patterns)
-            report.rows.append(BenchRow(corpus_name, name, m, total, 0.0, 0.0,
-                                        per_char=sink.per_element(total)))
+    for m, _, cells in _walk(corpus, plan, algorithms, hal_scheme,
+                             counted=True):
+        for name, _, total, counts in cells:
+            report.rows.append(BenchRow(corpus_name, name, m, total, 0.0,
+                                        0.0, counts.per_element(total)))
     return report

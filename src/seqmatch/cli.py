@@ -139,26 +139,13 @@ def cmd_find(args):
     return 1
 
 
-def _prepare_run(args):
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    _validate_names(algos, args.scheme)
-    sizes = parse_sizes(args.sizes if args.sizes else DEFAULT_SIZES[args.kind])
-    corpus = load_corpus(args.kind, path=args.corpus, size=args.size,
-                         seed=args.seed)
-    dictionary = None
-    if args.dict_path:
-        dictionary = load_corpus("words", path=args.dict_path)
-    plan = build_pattern_plan(corpus, sizes, args.tests, dictionary)
-    return corpus, plan, algos
-
-
-def _echo_summary(report, counted):
+def _echo_summary(report):
     for row in report.rows:
         if row.algorithm == "dummy":
             continue
         line = (f"{row.corpus} m={row.pattern_size:<4d} {row.algorithm:<5s} "
                 f"searched {row.total_elements} elements")
-        if counted and row.per_char:
+        if report.counted and row.per_char:
             line += (f"  comparisons/char={row.per_char['element_comparisons']:.4f}"
                      f"  accesses/char={row.per_char['element_accesses']:.4f}")
         elif row.seconds:
@@ -167,43 +154,34 @@ def _echo_summary(report, counted):
 
 
 def cmd_bench(args):
+    """``bench`` and ``count``: one plan, one harness, one TSV report."""
     try:
-        corpus, plan, algos = _prepare_run(args)
+        algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+        _validate_names(algos, args.scheme)
+        sizes = parse_sizes(args.sizes or DEFAULT_SIZES[args.kind])
+        corpus = load_corpus(args.kind, path=args.corpus, size=args.size,
+                             seed=args.seed)
+        dictionary = (load_corpus("words", path=args.dict_path)
+                      if args.dict_path else None)
+        plan = build_pattern_plan(corpus, sizes, args.tests, dictionary)
     except (ValueError, OSError) as exc:
         return _fail(exc)
     scheme = SCHEMES[args.scheme] if args.scheme else None
     try:
-        report = run_bench(corpus, plan, algos, corpus_name=args.kind,
-                           hal_scheme=scheme,
-                           min_cell_seconds=args.min_cell_ms / 1000.0,
-                           time_runs=not args.no_timing)
+        if args.command == "count":
+            report = run_counts(corpus, plan, algos, corpus_name=args.kind,
+                                hal_scheme=scheme)
+        else:
+            report = run_bench(corpus, plan, algos, corpus_name=args.kind,
+                               hal_scheme=scheme,
+                               min_cell_seconds=args.min_cell_ms / 1000.0,
+                               time_runs=not args.no_timing)
     except CorrectnessMismatch as exc:
         print(f"cross-check failed: {exc}", file=sys.stderr)
         return 1
-    out = args.out or f"bench-{args.kind}.tsv"
+    out = args.out or f"{args.command}-{args.kind}.tsv"
     report.write(out)
-    _echo_summary(report, counted=False)
-    print(f"wrote {out}")
-    return 0
-
-
-def cmd_count(args):
-    try:
-        corpus, plan, algos = _prepare_run(args)
-        if plan.total_patterns() == 0:
-            raise ValueError("the plan selects no patterns")
-    except (ValueError, OSError) as exc:
-        return _fail(exc)
-    scheme = SCHEMES[args.scheme] if args.scheme else None
-    try:
-        report = run_counts(corpus, plan, algos, corpus_name=args.kind,
-                            hal_scheme=scheme)
-    except CorrectnessMismatch as exc:
-        print(f"cross-check failed: {exc}", file=sys.stderr)
-        return 1
-    out = args.out or f"count-{args.kind}.tsv"
-    report.write(out)
-    _echo_summary(report, counted=True)
+    _echo_summary(report)
     print(f"wrote {out}")
     return 0
 
@@ -270,7 +248,7 @@ def cmd_selftest(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    handler = {"find": cmd_find, "bench": cmd_bench, "count": cmd_count,
+    handler = {"find": cmd_find, "bench": cmd_bench, "count": cmd_bench,
                "selftest": cmd_selftest}[args.command]
     return handler(args)
 

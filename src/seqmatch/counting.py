@@ -7,12 +7,8 @@ non-comparison use of a text element (hash probes, table indexing), and
 every cursor movement is tallied.  Wrapping only the text also makes
 ``element_comparisons`` exactly the quantity the 2n bound constrains;
 pattern-against-pattern comparisons during preprocessing are O(m) and
-stay outside the tally.
-
-Loop-index arithmetic runs on native integers, which offer no
-transparent seam in Python, so ``distance_ops`` records only what the
-wrappers can observe and stays at zero for the built-in searches; the
-column is kept for report compatibility.
+stay outside the tally.  Loop-index arithmetic runs on native integers,
+which offer no transparent seam in Python, so it is not counted.
 """
 
 import operator
@@ -22,7 +18,7 @@ from .schemes import default_scheme_for
 from .search import resolve_algorithm
 
 COUNT_FIELDS = ("element_comparisons", "element_accesses",
-                "cursor_big_jumps", "cursor_other_ops", "distance_ops")
+                "cursor_big_jumps", "cursor_other_ops")
 
 
 @dataclass
@@ -38,7 +34,6 @@ class OperationCounts:
     element_accesses: int = 0
     cursor_big_jumps: int = 0
     cursor_other_ops: int = 0
-    distance_ops: int = 0
 
     def reset(self):
         for name in COUNT_FIELDS:

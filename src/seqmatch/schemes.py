@@ -25,8 +25,12 @@ alphabets with long patterns but accept any byte-valued data.
 
 import operator
 from array import array
+from mmap import mmap
 
 from .errors import WindowUnderflow
+
+# array typecodes and memoryview formats whose items are plain ints
+_INT_FORMATS = frozenset("bBhHiIlLqQ")
 
 
 def _val(x):
@@ -101,17 +105,21 @@ class ShiftSumScheme(HashScheme):
         self._str_hash = shift_sum(ord)  # skips _val's type tests
 
     def probe(self, seq):
-        if isinstance(seq, array) and seq.typecode in "bBhHiIlLqQ":
-            byte_valued = seq.typecode == "B"
-        elif isinstance(seq, (bytes, bytearray)):
-            byte_valued = True
+        if isinstance(seq, (bytes, bytearray, mmap)):
+            fmt = "B"
+        elif isinstance(seq, array):
+            fmt = seq.typecode
+        elif isinstance(seq, memoryview):
+            fmt = seq.format
         elif isinstance(seq, str) and self.shifts != (0,):
             return self._str_hash
         else:
             return self.hash
+        if fmt not in _INT_FORMATS:
+            return self.hash
         if self.shifts != (0,):
             return self._int_hash
-        if byte_valued and self.mask & 255 == 255:
+        if fmt == "B" and self.mask & 255 == 255:
             return None  # every byte value is its own bucket
         return self.mask
 

@@ -20,6 +20,7 @@ except that one ``ReusableSkipTable`` serves one search at a time.
 
 from dataclasses import dataclass
 from enum import Enum
+from mmap import mmap
 
 from .errors import EmptyPattern
 from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, default_scheme_for
@@ -61,9 +62,9 @@ def naive_search(text, pattern):
 
 
 def _linear_scan(text, first):
-    # size-1 patterns: plain find, no tables
+    # size-1 patterns: plain find, no tables; an mmap iterates as bytes
     k = 0
-    for x in text:
+    for x in (memoryview(text) if isinstance(text, mmap) else text):
         if x == first:
             return k
         k += 1
@@ -141,7 +142,7 @@ def _l(text, index):
     first = positions[0]
     if m == 1:
         return _linear_scan(text, first)
-    step = iter(text).__next__
+    step = iter(memoryview(text) if isinstance(text, mmap) else text).__next__
     # `cur` is the element under the cursor, `k` its position.  Running
     # off the end anywhere means no match, hence the blanket handler.
     k = 0
@@ -331,8 +332,9 @@ def _nhal(text, pattern, table):
         return 0
     if n < m:
         return None
-    if min(pattern) < 0 or max(pattern) >= table.size:
-        raise ValueError("pattern symbols exceed the table's 16-bit domain")
+    if not all(isinstance(s, int) and 0 <= s < table.size for s in pattern):
+        raise ValueError("pattern symbols must be integers in the table's "
+                         "16-bit domain")
     if m == 1:
         return _linear_scan(text, pattern[0])
     slots = table.slots

@@ -156,6 +156,21 @@ def test_criterion_4_sublinear_operation_counts():
         assert hal["element_accesses"] <= 0.4, hal
 
 
+def _speeds(report, algorithms, sizes):
+    return {(name, m): report.cell(name, m).elements_per_us
+            for name in algorithms for m in sizes}
+
+
+def _record_margin(number, checks):
+    """Record the ``(label, ratio, bound, m)`` check whose measured ratio
+    sits closest to its lower bound, pass or fail."""
+    label, ratio, bound, m = min(checks, key=lambda c: c[1] / c[2])
+    line = (f"criterion {number} margin: {label} {ratio:.2f} "
+            f"(bound {bound:.2f}) at m={m}")
+    record_criterion(line)
+    print(line)
+
+
 def test_criterion_5_english_throughput_ordering():
     with criterion(5, "English-like corpus: HAL >= 2x L and 2x SF for "
                       "m >= 6, under 2 min"):
@@ -165,10 +180,11 @@ def test_criterion_5_english_throughput_ordering():
         plan = build_pattern_plan(corpus, sizes, 20)
         report = run_bench(corpus, plan, ["sf", "l", "hal"],
                            corpus_name="text", min_cell_seconds=0.3)
+        speed = _speeds(report, ["sf", "l", "hal"], sizes)
+        _record_margin(5, [(f"hal/{other}", speed["hal", m] / speed[other, m],
+                            2.0, m) for m in sizes for other in ("sf", "l")])
         for m in sizes:
-            sf = report.cell("sf", m).elements_per_us
-            l = report.cell("l", m).elements_per_us
-            hal = report.cell("hal", m).elements_per_us
+            sf, l, hal = speed["sf", m], speed["l", m], speed["hal", m]
             assert hal >= 2 * sf, f"m={m}: hal {hal:.2f} vs sf {sf:.2f}"
             assert hal >= 2 * l, f"m={m}: hal {hal:.2f} vs l {l:.2f}"
         elapsed = time.perf_counter() - start
@@ -184,15 +200,16 @@ def test_criterion_6_dna_hashing_payoff():
         plan = build_pattern_plan(corpus, sizes, 8)
         report = run_bench(corpus, plan, ["hal", "hal4"], corpus_name="dna",
                            min_cell_seconds=0.25)
-        hal100 = report.cell("hal", 100).elements_per_us
-        hal4_100 = report.cell("hal4", 100).elements_per_us
+        speed = _speeds(report, ["hal", "hal4"], sizes)
+        hal100, hal4_100 = speed["hal", 100], speed["hal4", 100]
+        steps = list(zip(sizes, sizes[1:]))
+        _record_margin(6, [("hal4/hal", hal4_100 / hal100, 2.0, 100)] + [
+            (f"hal4 step from m={lo}", speed["hal4", hi] / speed["hal4", lo],
+             0.9, hi) for lo, hi in steps])
         assert hal4_100 >= 2 * hal100, (hal4_100, hal100)
-        previous = None
-        for m in sizes:
-            speed = report.cell("hal4", m).elements_per_us
-            if previous is not None:
-                assert speed >= previous * 0.9, (m, speed, previous)
-            previous = speed
+        for lo, hi in steps:
+            previous, current = speed["hal4", lo], speed["hal4", hi]
+            assert current >= previous * 0.9, (hi, current, previous)
 
 
 def test_criterion_7_large_alphabet():
@@ -203,10 +220,13 @@ def test_criterion_7_large_alphabet():
         plan = build_pattern_plan(corpus, sizes, 6)
         report = run_bench(corpus, plan, ["sf", "hal", "nhal"],
                            corpus_name="random16", min_cell_seconds=0.5)
+        speed = _speeds(report, ["sf", "hal", "nhal"], sizes)
+        _record_margin(7, [("hal/nhal", speed["hal", m] / speed["nhal", m],
+                            0.8, m) for m in sizes] + [
+            (f"{fast}/sf", speed[fast, m] / speed["sf", m], 2.0, m)
+            for m in sizes if m >= 6 for fast in ("hal", "nhal")])
         for m in sizes:
-            sf = report.cell("sf", m).elements_per_us
-            hal = report.cell("hal", m).elements_per_us
-            nhal = report.cell("nhal", m).elements_per_us
+            sf, hal, nhal = speed["sf", m], speed["hal", m], speed["nhal", m]
             assert hal >= 0.8 * nhal, f"m={m}: hal {hal:.2f} nhal {nhal:.2f}"
             if m >= 6:
                 assert hal >= 2 * sf, f"m={m}: hal {hal:.2f} sf {sf:.2f}"

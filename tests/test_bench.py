@@ -133,6 +133,7 @@ def test_tsv_round_trip_preserves_speed_invariant():
     lines = report.to_tsv().splitlines()
     assert lines[0].split("\t") == list(TSV_COLUMNS)
     for line in lines[1:]:
+        assert len(line.split("\t")) == len(TSV_COLUMNS), line
         cells = dict(zip(TSV_COLUMNS, line.split("\t")))
         if cells["algorithm"] == "dummy":
             continue
@@ -167,8 +168,10 @@ def test_run_counts_report():
     plan = build_pattern_plan(corpus, [8], 4)
     report = run_counts(corpus, plan, ["sf", "l", "hal"], corpus_name="text")
     assert report.counted
-    header = report.to_tsv().splitlines()[0].split("\t")
-    assert header == list(TSV_COLUMNS + TSV_COUNT_COLUMNS)
+    header, *lines = report.to_tsv().splitlines()
+    assert header.split("\t") == list(TSV_COLUMNS + TSV_COUNT_COLUMNS)
+    assert lines and all(len(line.split("\t")) == len(header.split("\t"))
+                         for line in lines)
     sf = report.cell("sf", 8)
     hal = report.cell("hal", 8)
     assert sf.per_char["element_comparisons"] > 0.8

@@ -95,7 +95,6 @@ def test_hal_is_sublinear_in_accesses_on_text():
     reads = (counts.element_accesses + counts.element_comparisons)
     assert reads < len(text) / 2  # far fewer touches than characters
     assert counts.element_accesses > 0
-    assert counts.distance_ops == 0  # no transparent seam for these
 
 
 def test_counted_hal_honors_explicit_scheme():

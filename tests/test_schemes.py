@@ -80,7 +80,9 @@ def test_probe_agrees_with_hash(scheme):
             array("b", [v - 128 for v in values]),
             array("H", [v * 257 for v in values]),
             array("i", [v * 65537 - (1 << 23) for v in values]),
-            list(values), "".join(map(chr, values))]
+            list(values), "".join(map(chr, values)),
+            memoryview(bytes(values)),
+            memoryview(array("H", [v * 257 for v in values]))]
     for seq in seqs:
         probe = scheme.probe(seq)
         for pos in range(scheme.suffix_size - 1, len(seq)):
@@ -98,6 +100,9 @@ def test_probe_specializes_buffers_and_strings():
     assert BYTE.probe(array("B")) is None
     assert MOD256.probe(array("H")) == 255
     assert BYTE.probe(array("b")) == 255  # negative symbols still fold
+    assert BYTE.probe(memoryview(b"ab")) is None
+    assert MOD256.probe(memoryview(array("H"))) == 255
+    assert BYTE.probe(memoryview(b"ab").cast("c")) is BYTE.hash  # bytes items
     # multi-symbol windows get loops that skip _val's type tests
     assert DNA4.probe(bytearray()) is not DNA4.hash
     assert DNA4.probe("acgt") is not DNA4.hash

@@ -1,3 +1,4 @@
+import mmap
 import random
 from array import array
 
@@ -169,10 +170,33 @@ def test_nhal_matches_hal_mod256_on_16bit_data():
 
 
 def test_nhal_rejects_out_of_domain_patterns():
+    table = ReusableSkipTable()
     with pytest.raises(ValueError):
-        search_nhal([1, 2, 3], [1 << 16])
+        search_nhal([1, 2, 3], [1 << 16], table)
     with pytest.raises(ValueError):
-        search_nhal([1, 2, 3], [-1, 2])
+        search_nhal([1, 2, 3], [-1, 2], table)
+    with pytest.raises(ValueError, match="pattern symbols"):
+        search_nhal(b"abcabc", [98.0, 99.0], table)
+    assert all(v == 0 for v in table.slots)
+
+
+def test_searches_over_an_mmap(tmp_path):
+    rng = random.Random(12)
+    data = bytes(rng.choices(b"acgt", k=3000))
+    path = tmp_path / "dna.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as f, \
+            mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as text:
+        for _ in range(40):
+            m = rng.randint(1, 30)
+            start = rng.randrange(len(data) - m + 1)
+            pattern = (data[start:start + m] if rng.random() < 0.7
+                       else bytes(rng.choices(b"acgt", k=m)))
+            want = naive_find(data, pattern)
+            assert search_hal(text, pattern, BYTE).position == want
+            assert search_hal(text, pattern, DNA4).position == want
+            assert dispatch_search(text, pattern).position == want
+            assert search_l(text, pattern).position == want  # iterates
 
 
 def test_nhal_rejects_out_of_domain_text_symbols():
