@@ -8,12 +8,13 @@ Timed runs then time every cell of the run, with a "dummy" baseline per
 size (the plan-driving loop with no search in it, which also gets rows
 of its own), in one interleaved rotation: each round gives one pass over
 its patterns to every cell that still has less than
-``min_cell_seconds`` of wall clock or fewer than 2 passes.  Cells that a
-report compares, across algorithms and sizes alike, are so measured
-under the same host load.  A cell reports its fastest pass (stable under
-scheduling noise) less its size's dummy pass.  Counted runs replace
-timing with exact per-character operation counts, summed over each
-cell's patterns, so their reports are byte-for-byte reproducible.
+``min_cell_seconds`` of wall clock or fewer than 2 passes, and a
+size's dummy as long as one of its size's cells.  Cells that a report
+compares, across algorithms and sizes alike, are so measured under the
+same host load.  A cell reports its fastest pass (stable under
+scheduling noise) less its size's dummy pass.  Counted runs replace timing with exact per-character operation
+counts, summed over each cell's patterns, so their reports are
+byte-for-byte reproducible.
 
 Speeds are elements per microsecond: total search length (match
 distance + pattern size, summed over the plan) / 1e6 / seconds.
@@ -151,6 +152,9 @@ def _fastest_passes(corpus, cells, min_seconds):
     clock = time.perf_counter
     best = [float("inf")] * len(cells)
     spent = [0.0] * len(cells)
+    dummy_of = []  # each cell's size's dummy, which precedes its cells
+    for i, (_, fn, _) in enumerate(cells):
+        dummy_of.append(i if fn is None else dummy_of[-1])
     active = range(len(cells))
     rounds = 0
     while active:
@@ -169,7 +173,12 @@ def _fastest_passes(corpus, cells, min_seconds):
             spent[i] += elapsed
             best[i] = min(best[i], elapsed)
         rounds += 1
-        active = [i for i in active if spent[i] < min_seconds or rounds < 2]
+        if rounds < 2:
+            continue
+        live = [i for i in active
+                if cells[i][1] is not None and spent[i] < min_seconds]
+        # a dummy leaves the rotation with the last cell of its size
+        active = sorted({*live, *(dummy_of[i] for i in live)})
     return best
 
 

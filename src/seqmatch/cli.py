@@ -202,6 +202,17 @@ def _fuzz_case(rng):
     return text, pattern
 
 
+def _disagrees(fns, text, pattern, label):
+    """Report the first algorithm that disagrees with the oracle, if any."""
+    want = naive_search(text, pattern).position
+    for name, fn in fns:
+        got = fn(text, pattern).position
+        if got != want:
+            print(f"FAIL {name} on {label}: expected {want}, got {got}")
+            return True
+    return False
+
+
 def cmd_selftest(args):
     try:
         if args.file:
@@ -212,30 +223,15 @@ def cmd_selftest(args):
     except (TestFileError, OSError) as exc:
         print(f"selftest error: {exc}", file=sys.stderr)
         return 1
-    failures = 0
     fns = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
-    for case in cases:
-        want = naive_search(case.text, case.pattern).position
-        for name, fn in fns:
-            got = fn(case.text, case.pattern).position
-            if got != want:
-                failures += 1
-                print(f"FAIL {name} on pattern {case.pattern!r}: "
-                      f"expected {want}, got {got}")
-                break
+    failures = sum(_disagrees(fns, case.text, case.pattern,
+                              f"pattern {case.pattern!r}") for case in cases)
     print(f"{len(cases)} file cases checked")
     rng = random.Random(args.seed)
     for i in range(args.fuzz):
         text, pattern = _fuzz_case(rng)
-        want = naive_search(text, pattern).position
-        for name, fn in fns:
-            got = fn(text, pattern).position
-            if got != want:
-                failures += 1
-                print(f"FAIL {name} on fuzz case #{i} "
-                      f"text={text!r} pattern={pattern!r}: "
-                      f"expected {want}, got {got}")
-                break
+        failures += _disagrees(fns, text, pattern, f"fuzz case #{i} "
+                               f"text={text!r} pattern={pattern!r}")
         if failures:
             break
     print(f"{args.fuzz} fuzz cases checked")

@@ -65,10 +65,7 @@ class CountingValue:
         return self.raw == other
 
     def __ne__(self, other):
-        self._sink.element_comparisons += 1
-        if isinstance(other, CountingValue):
-            other = other.raw
-        return self.raw != other
+        return not self.__eq__(other)
 
     def __index__(self):
         self._sink.element_accesses += 1

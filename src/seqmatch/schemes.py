@@ -88,6 +88,8 @@ class ShiftSumScheme(HashScheme):
             return h & mask
 
         def shift_sum(val):
+            if shifts == (0,):  # a plain fold: a loop would double its cost
+                return lambda seq, pos: val(seq[pos]) & mask
             def hash(seq, pos):
                 h = 0
                 i = pos + first
@@ -97,10 +99,7 @@ class ShiftSumScheme(HashScheme):
                 return h & mask
             return hash
 
-        # A plain fold skips the loop: compute_skip calls the hash once
-        # per pattern symbol, and the loop would double that cost.
-        self.hash = (shift_sum(_val) if shifts != (0,)
-                     else lambda seq, pos: _val(seq[pos]) & mask)
+        self.hash = shift_sum(_val)
         self._int_hash = int_shift_sum
         self._str_hash = shift_sum(ord)  # skips _val's type tests
 
@@ -111,7 +110,7 @@ class ShiftSumScheme(HashScheme):
             fmt = seq.typecode
         elif isinstance(seq, memoryview):
             fmt = seq.format
-        elif isinstance(seq, str) and self.shifts != (0,):
+        elif isinstance(seq, str):
             return self._str_hash
         else:
             return self.hash

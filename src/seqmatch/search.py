@@ -16,6 +16,8 @@ Conventions: empty patterns match at offset 0; texts shorter than the
 pattern report not-found; size-1 patterns always use a plain linear
 scan.  Searches never mutate their inputs and may run concurrently,
 except that one ``ReusableSkipTable`` serves one search at a time.
+``dispatch_search``'s bounded table cache is safe to share: its tables
+are never written after they are built, only replaced.
 """
 
 from dataclasses import dataclass
@@ -196,17 +198,17 @@ def search_l(text, pattern):
     return SearchOutcome(_l(text, index))
 
 
-def _skip_scan(text, pattern, skip, skew, probe, mismatch_shift, adjustment):
+def _skip_scan(text, pattern, shifts, skip, skew, probe, mismatch_shift,
+               adjustment):
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
-    # 2 <= m <= n.  `probe` turns the symbol under the probe into a skip
-    # index: None uses the symbol itself, an int is a fold mask, and a
-    # callable is the scheme hash.  `skew` is added to every direct
-    # lookup (the reusable table stores shifts less the skew).  The
-    # probe kind is picked once per skip-loop entry, never per probe.
+    # 2 <= m <= n and the pattern's failure links `shifts`.  `probe` turns
+    # the probed symbol into a skip index: None uses the symbol itself, an
+    # int is a fold mask, and a callable is the scheme hash.  `skew` is
+    # added to every direct lookup (the reusable table stores shifts less
+    # the skew).  The probe kind is picked once per skip-loop entry.
     n = len(text)
     m = len(pattern)
     first = pattern[0]
-    shifts = compute_next(pattern)
     fold = probe if isinstance(probe, int) else None
     # k is the text position translated by -n, so exit tests compare
     # against zero and `large` entries force an exit by sheer size.
@@ -265,7 +267,16 @@ def _skip_scan(text, pattern, skip, skew, probe, mismatch_shift, adjustment):
                     return None
 
 
-def _hal(text, pattern, scheme):
+def _tables(pattern, scheme, n):
+    # the skip loop's tables for texts of size <= n, or None if it cannot run
+    m = len(pattern)
+    s = scheme.suffix_size
+    if m < 2 or s == 0 or m < s:
+        return None
+    return compute_next(pattern), compute_skip(pattern, scheme, n)
+
+
+def _hal(text, pattern, scheme, tables=None):
     n = len(text)
     m = len(pattern)
     if m == 0:
@@ -278,10 +289,10 @@ def _hal(text, pattern, scheme):
         return None
     if m == 1:
         return _linear_scan(text, pattern[0])
-    table = compute_skip(pattern, scheme, n)
-    probe = scheme.probe(text)
-    return _skip_scan(text, pattern, table.shifts, 0, probe,
-                      table.mismatch_shift, table.adjustment)
+    shifts, table = tables or _tables(pattern, scheme, n)
+    return _skip_scan(text, pattern, shifts, table.shifts, 0,
+                      scheme.probe(text), table.mismatch_shift,
+                      table.adjustment)
 
 
 def search_hal(text, pattern, scheme=None):
@@ -346,8 +357,8 @@ def _nhal(text, pattern, table):
         mismatch_shift = slots[tail] + skew
         large = n + 1
         slots[tail] = large - skew
-        return _skip_scan(text, pattern, slots, skew, None,
-                          mismatch_shift, large + m - 1)
+        return _skip_scan(text, pattern, compute_next(pattern), slots, skew,
+                          None, mismatch_shift, large + m - 1)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all
@@ -371,6 +382,12 @@ def search_nhal(text, pattern, table=None):
     return SearchOutcome(_nhal(text, pattern, table))
 
 
+# (failure links, skip table) per (pattern, scheme), oldest first; an
+# entry serves texts shorter than its `large`, a longer text rebuilds it
+_TABLE_CACHE_MAX = 256
+_table_cache = {}
+
+
 def dispatch_search(text, pattern, capability=None, scheme=None):
     """Route to the forward search or the hashed skip-loop search.
 
@@ -380,7 +397,8 @@ def dispatch_search(text, pattern, capability=None, scheme=None):
     pattern shorter than the scheme's window) lands back on the forward
     search.  When ``capability`` is omitted, sequences offering both
     ``len`` and indexing count as random access and anything merely
-    iterable as forward.
+    iterable as forward.  The tables of bytes and str patterns are cached,
+    so many texts searched for one pattern preprocess it once.
     """
     if capability is None:
         cls = type(text)
@@ -391,7 +409,22 @@ def dispatch_search(text, pattern, capability=None, scheme=None):
         return search_l(text, pattern)
     if scheme is None:
         scheme = default_scheme_for(text)
-    return search_hal(text, pattern, scheme)
+    n = len(text)
+    if type(pattern) not in (bytes, str) or n < len(pattern):
+        return search_hal(text, pattern, scheme)
+    key = (pattern, scheme)
+    tables = _table_cache.get(key)
+    if tables is None or tables[1].large <= n:
+        tables = _tables(pattern, scheme, n)
+        if tables is None:
+            return search_hal(text, pattern, scheme)
+        while len(_table_cache) >= _TABLE_CACHE_MAX:
+            try:  # evict the oldest; a concurrent caller may race us to it
+                _table_cache.pop(next(iter(_table_cache)), None)
+            except (StopIteration, RuntimeError):
+                pass
+        _table_cache[key] = tables
+    return SearchOutcome(_hal(text, pattern, scheme, tables))
 
 
 ALGORITHM_NAMES = ("sf", "kmp", "l", "al", "hal", "hal2", "hal3", "hal4",

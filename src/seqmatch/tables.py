@@ -106,7 +106,8 @@ def compute_skip(pattern, scheme, text_size):
     s = scheme.suffix_size
     if m < s:
         raise SuffixTooLong(f"pattern size {m} is below suffix size {s}")
-    h = scheme.hash
+    probe = scheme.probe(pattern)  # callable: the pattern type's fast hash
+    h = probe if callable(probe) else scheme.hash
     shifts = [m - s + 1] * scheme.hash_range_max
     for j in range(s - 1, m - 1):
         shifts[h(pattern, j)] = m - 1 - j

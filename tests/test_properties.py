@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_find, next_oracle
 
-from seqmatch import (ALGORITHM_NAMES, compute_forward_index, compute_next,
-                      resolve_algorithm, run_counted)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, compute_forward_index,
+                      compute_next, dispatch_search, resolve_algorithm,
+                      run_counted)
 
 ALPHABETS = (b"ab", b"acgt", b"abcdefghijklmnopqrstuvwxyz", bytes(range(256)))
 
@@ -64,6 +65,23 @@ def test_text_reads_stay_linear(case):
     for name in ("l", "al", "hal", "nhal"):
         _, counts = run_counted(name, text, pattern)
         assert counts.cursor_big_jumps + counts.cursor_other_ops <= budget, name
+
+
+@given(st.sampled_from(ALPHABETS[:3]), st.data())
+def test_dispatch_reuses_one_pattern_over_texts_of_any_length(sigma, data):
+    symbol = st.sampled_from(sigma)
+    pattern = bytes(data.draw(st.lists(symbol, min_size=1, max_size=12)))
+    scheme = data.draw(st.sampled_from((None, BYTE, DNA4)))
+    as_str = data.draw(st.booleans())
+    for _ in range(data.draw(st.integers(1, 6))):
+        text = bytes(data.draw(st.lists(symbol, max_size=300)))
+        if data.draw(st.booleans()):  # plant the pattern somewhere
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + pattern + text[at:]
+        p, t = ((pattern.decode(), text.decode()) if as_str
+                else (pattern, text))
+        assert (dispatch_search(t, p, scheme=scheme).position
+                == naive_find(text, pattern))
 
 
 @given(st.binary(min_size=1, max_size=64))

@@ -106,6 +106,7 @@ def test_probe_specializes_buffers_and_strings():
     # multi-symbol windows get loops that skip _val's type tests
     assert DNA4.probe(bytearray()) is not DNA4.hash
     assert DNA4.probe("acgt") is not DNA4.hash
+    assert BYTE.probe("ab") is not BYTE.hash
     assert DNA4.probe(array("d")) is DNA4.hash
 
 

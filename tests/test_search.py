@@ -5,6 +5,7 @@ from array import array
 import pytest
 from oracles import naive_find
 
+from seqmatch import search
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, Capability,
                       HashScheme, ReusableSkipTable, dispatch_search,
                       naive_search, random16_text, resolve_algorithm,
@@ -242,6 +243,92 @@ def test_dispatch_word_sequences():
     assert dispatch_search(words, [b"banana"]).position is None
 
 
+def test_dispatch_cache_grows_the_tail_slot_with_the_text():
+    search._table_cache.clear()
+    pattern = b"bab"
+    short = b"abcabcabc"
+    assert dispatch_search(short, pattern).position is None
+    # the only match lies past the short text, behind many tail hits
+    long = short * 10 + pattern + short * 10
+    assert dispatch_search(long, pattern).position == naive_find(long, pattern)
+    assert dispatch_search(short, pattern).position is None
+
+
+def test_dispatch_cache_keys_on_the_scheme():
+    search._table_cache.clear()
+    rng = random.Random(7)
+    text = bytes(rng.choices(b"acgt", k=3000))
+    for start in (500, 1500, 2900):
+        pattern = text[start:start + 20]
+        want = naive_find(text, pattern)
+        assert dispatch_search(text, pattern, scheme=BYTE).position == want
+        assert dispatch_search(text, pattern, scheme=DNA4).position == want
+        assert dispatch_search(text, pattern, scheme=BYTE).position == want
+
+
+def test_dispatch_cache_keeps_bytes_and_str_apart():
+    search._table_cache.clear()
+    for _ in range(2):
+        assert dispatch_search(b"xxab", b"ab").position == 2
+        assert dispatch_search(b"xxab", "ab").position is None
+        assert dispatch_search("xxab", "ab").position == 2
+        assert dispatch_search("xxab", b"ab").position is None
+    assert len(search._table_cache) == 2
+
+
+def test_dispatch_sees_a_mutated_bytearray_pattern():
+    search._table_cache.clear()
+    text = b"xxabxxcd"
+    pattern = bytearray(b"ab")
+    assert dispatch_search(text, pattern).position == 2
+    pattern[:] = b"cd"
+    assert dispatch_search(text, pattern).position == 6
+
+
+def test_dispatch_cache_stays_within_its_bound():
+    search._table_cache.clear()
+    bound = search._TABLE_CACHE_MAX
+    text = bytes(range(256)) * 4
+    patterns = [bytes([i % 256, i // 256, 7]) for i in range(bound + 50)]
+    for pattern in patterns:
+        assert (dispatch_search(text, pattern).position
+                == naive_find(text, pattern))
+        assert len(search._table_cache) <= bound
+    assert len(search._table_cache) == bound
+    assert (patterns[0], BYTE) not in search._table_cache  # oldest went first
+    assert (patterns[-1], BYTE) in search._table_cache
+
+
+def test_dispatch_cache_survives_thread_switches():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(41)
+    text = bytes(rng.choices(b"abcd", k=1200))
+    # more patterns than the cache holds, over texts of growing length
+    patterns = [text[o:o + 6] for o in rng.sample(range(1190), 400)]
+
+    def run(i):
+        for p in patterns[i::8]:
+            for n in (300, 1200, 600):
+                at = text[:n].find(p)
+                if dispatch_search(text[:n], p).position != (
+                        None if at < 0 else at):
+                    return False
+        return True
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(run, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [True] * 8
+    # racing inserts may overrun the bound by one entry per caller
+    assert len(search._table_cache) <= search._TABLE_CACHE_MAX + 8
+
+
 def test_resolve_algorithm_rejects_unknown_names():
     with pytest.raises(ValueError):
         resolve_algorithm("boyer")
@@ -263,10 +350,11 @@ def test_searches_run_concurrently():
         pattern = jobs[i]
         return (search_hal(text, pattern).position,
                 search_l(text, pattern).position,
-                search_nhal(text, pattern, tables[i]).position)
+                search_nhal(text, pattern, tables[i]).position,
+                dispatch_search(text, pattern).position)
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(run, range(len(jobs))))
-    for pattern, (a, b, c) in zip(jobs, results):
+    for pattern, (a, b, c, d) in zip(jobs, results):
         want = naive_find(text, pattern)
-        assert a == b == c == want
+        assert a == b == c == d == want
