@@ -16,16 +16,14 @@ from .corpus import (CORPUS_KINDS, PatternPlan, TestCase, build_pattern_plan,
 from .counting import (CountingSequence, CountingValue, OperationCounts,
                        run_counted)
 from .errors import (CorrectnessMismatch, EmptyPattern, SuffixTooLong,
-                     TestFileError, WindowUnderflow)
+                     TestFileError)
 from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
                       WORD_HEAD, ZERO, HashScheme, ShiftSumScheme,
-                      WordHeadScheme, ZeroScheme, default_scheme_for,
-                      hash_window)
-from .search import (ALGORITHM_NAMES, Capability, ReusableSkipTable,
-                     SearchOutcome, dispatch_search, naive_search,
-                     resolve_algorithm, search_al, search_hal,
-                     search_kmp_basic, search_l, search_nhal, search_sf)
-from .tables import (ForwardPatternIndex, SkipTable, compute_forward_index,
-                     compute_next, compute_skip)
+                      WordHeadScheme, ZeroScheme, default_scheme_for)
+from .search import (ALGORITHM_NAMES, ReusableSkipTable, SearchOutcome,
+                     dispatch_search, naive_search, resolve_algorithm,
+                     search_al, search_hal, search_kmp_basic, search_l,
+                     search_nhal, search_sf)
+from .tables import SkipTable, compute_next, compute_skip
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ import argparse
 import random
 import sys
 from importlib import resources
+from pathlib import Path
 
 from .bench import run_bench, run_counts
 from .corpus import CORPUS_KINDS, build_pattern_plan, load_corpus, \
@@ -58,7 +59,7 @@ def _build_parser():
     find.add_argument("--pattern", help="pattern (backslash escapes allowed)")
     find.add_argument("--pattern-file", help="file holding the raw pattern")
     find.add_argument("--algo", default=None,
-                      help="algorithm (default: capability dispatch)")
+                      help="algorithm (default: dispatch by text type)")
     find.add_argument("--scheme", default=None, help="hash scheme for hal")
 
     for name in ("bench", "count"):
@@ -122,8 +123,8 @@ def cmd_find(args):
         if args.pattern is not None:
             pattern = decode_pattern(args.pattern)
         else:
-            pattern = open(args.pattern_file, "rb").read()
-        text = open(args.text, "rb").read()
+            pattern = Path(args.pattern_file).read_bytes()
+        text = Path(args.text).read_bytes()
         # a scheme that does not fit the elements raises ValueError too
         if args.algo:
             outcome = resolve_algorithm(args.algo, scheme=scheme)(

@@ -140,9 +140,6 @@ class PatternPlan:
     tests: int
     patterns: dict
 
-    def total_patterns(self):
-        return sum(len(v) for v in self.patterns.values())
-
 
 def build_pattern_plan(corpus, sizes, tests, dictionary=None):
     """Pattern plan over ``corpus`` for each size in ``sizes``.

@@ -35,13 +35,6 @@ class OperationCounts:
     cursor_big_jumps: int = 0
     cursor_other_ops: int = 0
 
-    def reset(self):
-        for name in COUNT_FIELDS:
-            setattr(self, name, 0)
-
-    def total(self):
-        return sum(getattr(self, name) for name in COUNT_FIELDS)
-
     def per_element(self, elements):
         """Counts divided by the number of elements searched."""
         return {name: getattr(self, name) / elements for name in COUNT_FIELDS}

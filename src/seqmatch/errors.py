@@ -9,10 +9,6 @@ class SuffixTooLong(ValueError):
     """A hash scheme needs more trailing elements than the pattern has."""
 
 
-class WindowUnderflow(IndexError):
-    """A hash window would start before the beginning of the sequence."""
-
-
 class CorrectnessMismatch(RuntimeError):
     """Benchmarked algorithms disagreed about a match position."""
 

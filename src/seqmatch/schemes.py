@@ -27,8 +27,6 @@ import operator
 from array import array
 from mmap import mmap
 
-from .errors import WindowUnderflow
-
 # array typecodes and memoryview formats whose items are plain ints
 _INT_FORMATS = frozenset("bBhHiIlLqQ")
 
@@ -135,19 +133,6 @@ class WordHeadScheme(HashScheme):
             return _val(word[0]) & 255 if len(word) else 0
         except TypeError:
             raise ValueError(f"element {word!r} is not a word") from None
-
-
-def hash_window(scheme, seq, pos):
-    """Hash the window of ``scheme.suffix_size`` elements ending at ``pos``.
-
-    Bounds-checked front end over ``scheme.hash``; the searches call
-    the scheme directly once the window is known to fit.
-    """
-    if pos < scheme.suffix_size - 1:
-        raise WindowUnderflow(
-            f"position {pos} leaves no room for a "
-            f"{scheme.suffix_size}-element window")
-    return scheme.hash(seq, pos)
 
 
 BYTE = ShiftSumScheme((0,), 255)

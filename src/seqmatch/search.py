@@ -16,17 +16,16 @@ Conventions: empty patterns match at offset 0; texts shorter than the
 pattern report not-found; size-1 patterns always use a plain linear
 scan.  Searches never mutate their inputs and may run concurrently,
 except that one ``ReusableSkipTable`` serves one search at a time.
-``dispatch_search``'s bounded table cache is safe to share: its tables
-are never written after they are built, only replaced.
+``dispatch_search``'s table cache is a ``functools.lru_cache``, safe to
+share: its tables are never written after they are built.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import lru_cache
 from mmap import mmap
 
-from .errors import EmptyPattern
 from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, default_scheme_for
-from .tables import compute_forward_index, compute_next, compute_skip
+from .tables import compute_next, compute_skip
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,6 @@ class SearchOutcome:
     @property
     def found(self):
         return self.position is not None
-
-
-class Capability(Enum):
-    """How a text sequence may be traversed."""
-
-    FORWARD = "forward"
-    RANDOM_ACCESS = "random-access"
 
 
 def naive_search(text, pattern):
@@ -137,9 +129,7 @@ def search_kmp_basic(text, pattern):
     return SearchOutcome(_kmp(text, pattern))
 
 
-def _l(text, index):
-    positions = index.positions
-    shifts = index.shifts
+def _l(text, positions, shifts):
     m = len(positions)
     first = positions[0]
     if m == 1:
@@ -191,11 +181,10 @@ def search_l(text, pattern):
     >>> search_l(iter("Now's the time..."), "time").position
     10
     """
-    try:
-        index = compute_forward_index(pattern)
-    except EmptyPattern:
+    positions = list(pattern)
+    if not positions:
         return SearchOutcome(0)
-    return SearchOutcome(_l(text, index))
+    return SearchOutcome(_l(text, positions, compute_next(positions)))
 
 
 def _skip_scan(text, pattern, shifts, skip, skew, probe, mismatch_shift,
@@ -284,7 +273,7 @@ def _hal(text, pattern, scheme, tables=None):
     s = scheme.suffix_size
     if s == 0 or m < s:
         # scheme cannot cover a probe window; use the forward search
-        return _l(text, compute_forward_index(pattern))
+        return _l(text, pattern, compute_next(pattern))
     if n < m:
         return None
     if m == 1:
@@ -382,48 +371,34 @@ def search_nhal(text, pattern, table=None):
     return SearchOutcome(_nhal(text, pattern, table))
 
 
-# (failure links, skip table) per (pattern, scheme), oldest first; an
-# entry serves texts shorter than its `large`, a longer text rebuilds it
-_TABLE_CACHE_MAX = 256
-_table_cache = {}
+@lru_cache(maxsize=256)
+def _cached_tables(pattern, scheme, size_bits):
+    # one entry per power-of-two text-size class: large = 2**size_bits
+    # exceeds every text of that class and stays <= 2n, so tail hits keep
+    # small-int arithmetic
+    return _tables(pattern, scheme, (1 << size_bits) - 1)
 
 
-def dispatch_search(text, pattern, capability=None, scheme=None):
+def dispatch_search(text, pattern, scheme=None):
     """Route to the forward search or the hashed skip-loop search.
 
-    Forward capability always means ``search_l``.  Random access uses
-    ``search_hal`` with the supplied scheme, or with the default
-    registered for the element type; the zero sentinel scheme (and any
-    pattern shorter than the scheme's window) lands back on the forward
-    search.  When ``capability`` is omitted, sequences offering both
-    ``len`` and indexing count as random access and anything merely
-    iterable as forward.  The tables of bytes and str patterns are cached,
-    so many texts searched for one pattern preprocess it once.
+    Sequences offering both ``len`` and indexing count as random access
+    and use ``search_hal`` with the supplied scheme, or with the default
+    registered for the element type; anything merely iterable uses
+    ``search_l``.  The zero sentinel scheme (and any pattern shorter
+    than the scheme's window) lands back on the forward search.  The
+    tables of bytes and str patterns are cached, so many texts searched
+    for one pattern preprocess it once per power-of-two text-size class.
     """
-    if capability is None:
-        cls = type(text)
-        capability = (Capability.RANDOM_ACCESS
-                      if hasattr(cls, "__len__") and hasattr(cls, "__getitem__")
-                      else Capability.FORWARD)
-    if capability is Capability.FORWARD:
+    cls = type(text)
+    if not (hasattr(cls, "__len__") and hasattr(cls, "__getitem__")):
         return search_l(text, pattern)
     if scheme is None:
         scheme = default_scheme_for(text)
     n = len(text)
     if type(pattern) not in (bytes, str) or n < len(pattern):
         return search_hal(text, pattern, scheme)
-    key = (pattern, scheme)
-    tables = _table_cache.get(key)
-    if tables is None or tables[1].large <= n:
-        tables = _tables(pattern, scheme, n)
-        if tables is None:
-            return search_hal(text, pattern, scheme)
-        while len(_table_cache) >= _TABLE_CACHE_MAX:
-            try:  # evict the oldest; a concurrent caller may race us to it
-                _table_cache.pop(next(iter(_table_cache)), None)
-            except (StopIteration, RuntimeError):
-                pass
-        _table_cache[key] = tables
+    tables = _cached_tables(pattern, scheme, n.bit_length())
     return SearchOutcome(_hal(text, pattern, scheme, tables))
 
 

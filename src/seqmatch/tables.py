@@ -48,32 +48,6 @@ def compute_next(pattern):
 
 
 @dataclass(frozen=True)
-class ForwardPatternIndex:
-    """Preprocessed pattern for forward-only searches.
-
-    ``positions[j]`` yields the element at pattern position ``j``, so
-    the search can jump back into the pattern via a failure link
-    without re-traversing its input.  ``shifts`` is the failure-link
-    table and equals ``compute_next`` on the same elements.
-    """
-
-    shifts: list
-    positions: list
-
-
-def compute_forward_index(pattern):
-    """Preprocess ``pattern`` using a single forward pass.
-
-    Accepts any iterable, including a one-shot iterator; the elements
-    are materialized so every pattern position stays addressable.
-    """
-    positions = list(pattern)
-    if not positions:
-        raise EmptyPattern("cannot preprocess an empty pattern")
-    return ForwardPatternIndex(compute_next(positions), positions)
-
-
-@dataclass(frozen=True)
 class SkipTable:
     """Hash-indexed shift table plus its derived constants.
 

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import pytest
 
 from seqmatch.cli import decode_pattern, main, parse_sizes
@@ -70,6 +73,18 @@ def test_find_pattern_file(corpus_file, tmp_path, capsys):
     pf.write_bytes(b"good men")
     assert main(["find", "--text", corpus_file,
                  "--pattern-file", str(pf)]) == 0
+    assert capsys.readouterr().out.strip() == "23"
+
+
+def test_find_closes_its_files(corpus_file, tmp_path, capsys):
+    pf = tmp_path / "pattern.bin"
+    pf.write_bytes(b"good men")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["find", "--text", corpus_file,
+                     "--pattern-file", str(pf)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert capsys.readouterr().out.strip() == "23"
 
 

@@ -11,10 +11,8 @@ from seqmatch.counting import COUNT_FIELDS, CountingValue
 
 def test_counts_reset_and_total():
     counts = OperationCounts(element_comparisons=3, element_accesses=2)
-    assert counts.total() == 5
-    counts.reset()
-    assert counts.total() == 0
-    assert counts.per_element(10) == {name: 0.0 for name in COUNT_FIELDS}
+    assert counts.per_element(10) == dict(zip(COUNT_FIELDS,
+                                              (0.3, 0.2, 0.0, 0.0)))
 
 
 def test_counting_value_semantics():
@@ -41,7 +39,7 @@ def test_counting_sequence_classifies_cursor_moves():
     assert sink.cursor_big_jumps == 0 and sink.cursor_other_ops == 4
     seq[5]   # jump
     assert sink.cursor_big_jumps == 1
-    sink.reset()
+    sink.cursor_other_ops = 0
     list(seq)
     assert sink.cursor_other_ops == 6
 
@@ -59,7 +57,6 @@ def test_counted_outcomes_match_uncounted(subtests=None):
         for name in ("sf", "kmp", "l", "al", "hal", "hal2", "nhal"):
             outcome, counts = run_counted(name, text, pattern)
             assert outcome.position == want, name
-            assert counts.total() >= 0
 
 
 def test_comparison_bound_2n():

@@ -1,12 +1,12 @@
 """Property tests for the package-wide invariants."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from oracles import naive_find, next_oracle
 
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, compute_forward_index,
-                      compute_next, dispatch_search, resolve_algorithm,
-                      run_counted)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, compute_next,
+                      dispatch_search, resolve_algorithm, run_counted,
+                      search_l)
 
 ALPHABETS = (b"ab", b"acgt", b"abcdefghijklmnopqrstuvwxyz", bytes(range(256)))
 
@@ -89,9 +89,11 @@ def test_next_table_matches_definition(pattern):
     assert compute_next(pattern) == next_oracle(pattern)
 
 
-@given(st.binary(min_size=1, max_size=64))
-@settings(max_examples=50)
-def test_forward_index_agrees_with_next_table(pattern):
-    index = compute_forward_index(iter(pattern))
-    assert index.shifts == compute_next(pattern)
-    assert bytes(index.positions) == pattern
+def _over_ab(max_size):
+    return st.lists(st.sampled_from(b"ab"), max_size=max_size).map(bytes)
+
+
+@given(_over_ab(40), _over_ab(8))  # the empty pattern included
+def test_search_l_on_one_shot_inputs_matches_oracle(text, pattern):
+    assert (search_l(iter(text), iter(pattern)).position
+            == naive_find(text, pattern))

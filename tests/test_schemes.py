@@ -4,20 +4,19 @@ from array import array
 import pytest
 
 from seqmatch import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
-                      WORD_HEAD, ZERO, ShiftSumScheme, WindowUnderflow,
-                      default_scheme_for, hash_window)
+                      WORD_HEAD, ZERO, ShiftSumScheme, default_scheme_for)
 
 _RANGED = {name: s for name, s in SCHEMES.items() if s is not ZERO}
 _SHIFT_SUMS = {name: s for name, s in SCHEMES.items()
                if isinstance(s, ShiftSumScheme)}
 
 
-def test_hash_window_examples():
+def test_hash_examples():
     # 97 + 97*4 + 97*16 + 97*64 mod 256
-    assert hash_window(DNA4, b"aaaa", 3) == 53
-    assert hash_window(BYTE, b"x", 0) == 120
-    assert hash_window(MOD256, [0x1234], 0) == 0x34
-    assert hash_window(WORD_HEAD, [b"word"], 0) == ord("w")
+    assert DNA4.hash(b"aaaa", 3) == 53
+    assert BYTE.hash(b"x", 0) == 120
+    assert MOD256.hash([0x1234], 0) == 0x34
+    assert WORD_HEAD.hash([b"word"], 0) == ord("w")
 
 
 def test_dna_hashes_follow_their_shift_sums():
@@ -29,13 +28,6 @@ def test_dna_hashes_follow_their_shift_sums():
         assert DNA4.hash(w, 4) == (w[1] + 4 * w[2] + 16 * w[3] + 64 * w[4]) % 256
         assert DNA5.hash(w, 4) == (w[0] + 4 * w[1] + 16 * w[2] + 64 * w[3]
                                    + 256 * w[4]) % 256
-
-
-def test_window_underflow():
-    with pytest.raises(WindowUnderflow):
-        hash_window(DNA4, b"aaaa", 2)
-    with pytest.raises(WindowUnderflow):
-        hash_window(BYTE, b"a", -1)
 
 
 @pytest.mark.parametrize("scheme", _RANGED.values(), ids=list(_RANGED))

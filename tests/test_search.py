@@ -6,11 +6,11 @@ import pytest
 from oracles import naive_find
 
 from seqmatch import search
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, Capability,
-                      HashScheme, ReusableSkipTable, dispatch_search,
-                      naive_search, random16_text, resolve_algorithm,
-                      search_al, search_hal, search_kmp_basic, search_l,
-                      search_nhal, search_sf)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, HashScheme,
+                      ReusableSkipTable, dispatch_search, naive_search,
+                      random16_text, resolve_algorithm, search_al,
+                      search_hal, search_kmp_basic, search_l, search_nhal,
+                      search_sf)
 
 ALL = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
 
@@ -89,6 +89,7 @@ def test_search_l_accepts_one_shot_iterators():
     assert search_l((x for x in text), b"quick").position == 4
     assert search_l(iter(b""), b"a").position is None
     assert search_l(iter(text), iter(b"fox")).position == 16
+    assert search_l(b"abc", iter(())).position == 0
 
 
 def test_str_inputs_work_everywhere():
@@ -124,6 +125,11 @@ def test_zero_scheme_falls_back_to_forward_search():
     assert search_hal(text, pattern, ZERO).position == 5
     # suffix larger than the pattern: same fallback
     assert search_hal(b"acgtacgt", b"gt", DNA4).position == 2
+    # the fallback indexes the pattern: an mmap's items are ints
+    with mmap.mmap(-1, 2) as pattern:
+        pattern.write(b"gt")
+        assert search_hal(b"acgtacgt", pattern, DNA4).position == 2
+        assert search_hal(b"acgtacgt", pattern, ZERO).position == 2
 
 
 def test_hal_identity_scheme_equals_al():
@@ -226,11 +232,8 @@ def test_non_integer_symbols_raise_value_error():
 def test_dispatch_capability_routing():
     text = b"some text with a needle in it"
     assert dispatch_search(text, b"needle").position == 17
-    assert dispatch_search(text, b"needle",
-                           Capability.FORWARD).position == 17
     assert dispatch_search(iter(text), b"needle").position == 17
-    assert dispatch_search(text, b"needle",
-                           Capability.RANDOM_ACCESS, DNA4).position == 17
+    assert dispatch_search(text, b"needle", DNA4).position == 17
     # unknown element types route through the zero scheme to the
     # forward search
     objs = [(1, 2), (3, 4), (5, 6)]
@@ -244,7 +247,7 @@ def test_dispatch_word_sequences():
 
 
 def test_dispatch_cache_grows_the_tail_slot_with_the_text():
-    search._table_cache.clear()
+    search._cached_tables.cache_clear()
     pattern = b"bab"
     short = b"abcabcabc"
     assert dispatch_search(short, pattern).position is None
@@ -255,7 +258,7 @@ def test_dispatch_cache_grows_the_tail_slot_with_the_text():
 
 
 def test_dispatch_cache_keys_on_the_scheme():
-    search._table_cache.clear()
+    search._cached_tables.cache_clear()
     rng = random.Random(7)
     text = bytes(rng.choices(b"acgt", k=3000))
     for start in (500, 1500, 2900):
@@ -267,17 +270,17 @@ def test_dispatch_cache_keys_on_the_scheme():
 
 
 def test_dispatch_cache_keeps_bytes_and_str_apart():
-    search._table_cache.clear()
+    search._cached_tables.cache_clear()
     for _ in range(2):
         assert dispatch_search(b"xxab", b"ab").position == 2
         assert dispatch_search(b"xxab", "ab").position is None
         assert dispatch_search("xxab", "ab").position == 2
         assert dispatch_search("xxab", b"ab").position is None
-    assert len(search._table_cache) == 2
+    assert search._cached_tables.cache_info().currsize == 2
 
 
 def test_dispatch_sees_a_mutated_bytearray_pattern():
-    search._table_cache.clear()
+    search._cached_tables.cache_clear()
     text = b"xxabxxcd"
     pattern = bytearray(b"ab")
     assert dispatch_search(text, pattern).position == 2
@@ -285,18 +288,38 @@ def test_dispatch_sees_a_mutated_bytearray_pattern():
     assert dispatch_search(text, pattern).position == 6
 
 
+def test_dispatch_cache_serves_one_entry_per_text_size_class():
+    cached = search._cached_tables
+    cached.cache_clear()
+    pattern = b"needle"
+    assert dispatch_search(b"x" * 100 + pattern, pattern).position == 100
+    assert cached.cache_info().misses == 1
+    # 106 and 120 elements share the class [64, 128)
+    assert dispatch_search(b"y" * 114 + pattern, pattern).position == 114
+    assert cached.cache_info().hits == 1
+    assert dispatch_search(b"z" * 200 + pattern, pattern).position == 200
+    assert cached.cache_info().misses == 2
+    # the tail slot exceeds every text of the class [128, 256) but stays
+    # <= 2n, so tail hits keep small-int arithmetic
+    assert cached(pattern, BYTE, 8)[1].large == 256
+
+
 def test_dispatch_cache_stays_within_its_bound():
-    search._table_cache.clear()
-    bound = search._TABLE_CACHE_MAX
+    cached = search._cached_tables
+    cached.cache_clear()
+    bound = cached.cache_info().maxsize
     text = bytes(range(256)) * 4
     patterns = [bytes([i % 256, i // 256, 7]) for i in range(bound + 50)]
     for pattern in patterns:
         assert (dispatch_search(text, pattern).position
                 == naive_find(text, pattern))
-        assert len(search._table_cache) <= bound
-    assert len(search._table_cache) == bound
-    assert (patterns[0], BYTE) not in search._table_cache  # oldest went first
-    assert (patterns[-1], BYTE) in search._table_cache
+        assert cached.cache_info().currsize <= bound
+    assert cached.cache_info().currsize == bound
+    hits, misses = cached.cache_info()[:2]
+    dispatch_search(text, patterns[-1])
+    assert cached.cache_info()[:2] == (hits + 1, misses)
+    dispatch_search(text, patterns[0])  # the oldest went first
+    assert cached.cache_info()[:2] == (hits + 1, misses + 1)
 
 
 def test_dispatch_cache_survives_thread_switches():
@@ -325,8 +348,8 @@ def test_dispatch_cache_survives_thread_switches():
     finally:
         sys.setswitchinterval(old)
     assert results == [True] * 8
-    # racing inserts may overrun the bound by one entry per caller
-    assert len(search._table_cache) <= search._TABLE_CACHE_MAX + 8
+    info = search._cached_tables.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_resolve_algorithm_rejects_unknown_names():

@@ -4,8 +4,8 @@ import random
 import pytest
 from oracles import mismatch_oracle, next_oracle, skip_oracle_identity
 
-from seqmatch import (BYTE, DNA4, EmptyPattern, SuffixTooLong,
-                      compute_forward_index, compute_next, compute_skip)
+from seqmatch import (BYTE, DNA4, EmptyPattern, SuffixTooLong, compute_next,
+                      compute_skip)
 
 
 @pytest.mark.parametrize("pattern, expected", [
@@ -47,24 +47,6 @@ def test_preprocessing_is_idempotent():
     second = compute_skip(pattern, BYTE, 100)
     assert first.shifts == second.shifts
     assert first == second
-
-
-def test_forward_index_equals_random_access_preprocessing():
-    rng = random.Random(9)
-    for _ in range(100):
-        pattern = bytes(rng.choices(b"abcd", k=rng.randint(1, 40)))
-        index = compute_forward_index(iter(pattern))
-        assert index.shifts == compute_next(pattern)
-        assert index.positions == list(pattern)
-
-
-def test_forward_index_small_examples():
-    index = compute_forward_index("ab")
-    assert index.shifts == [-1, 0]
-    assert index.positions == ["a", "b"]
-    assert compute_forward_index("aa").shifts == [-1, -1]
-    with pytest.raises(EmptyPattern):
-        compute_forward_index(iter(()))
 
 
 def test_skip_table_for_abc_under_identity_hash():
