@@ -8,19 +8,18 @@ compatibility with element equality: equal windows must hash equal.
 Hash quality beyond that only affects speed, never correctness, so the
 built-ins lean toward cheap arithmetic.
 
-The integer schemes are all one ``ShiftSumScheme(shifts, mask)``: the
-``len(shifts)`` trailing symbol values, oldest first, each shifted left
-by its entry of ``shifts``, then summed and masked.
+The integer schemes (byte, mod256, dna2..dna5, listed at the bottom) are
+all one ``ShiftSumScheme(shifts, mask)``: the ``len(shifts)`` trailing
+symbol values, oldest first, each shifted left by its entry of
+``shifts``, then summed and masked.  ``byte`` (bytes and strings) and
+``mod256`` (wide integer symbols) hash alike but stay distinct objects.
+The DNA schemes target 4-letter alphabets with long patterns but accept
+any byte-valued data.
 
-    byte, mod256   (0,)              255
-    dna2           (0, 3)            63
-    dna3           (0, 3, 6)         511
-    dna4           (0, 2, 4, 6)      255
-    dna5           (0, 2, 4, 6, 8)   255
-
-``byte`` (bytes and strings) and ``mod256`` (wide integer symbols) hash
-alike but stay distinct objects.  The DNA schemes target 4-letter
-alphabets with long patterns but accept any byte-valued data.
+Each scheme also derives its own skip loop, ``probe(text)``: a
+shift-sum scheme generates one from its shifts and mask, with the hash
+written inline, once for int buffers, once for str and once for any
+other symbols.
 """
 
 import operator
@@ -42,6 +41,29 @@ def _val(x):
         raise ValueError(f"symbol {x!r} has no integer value") from None
 
 
+_LOOPS = """\
+def hash(text, pos):
+    return {h}
+
+def advance(text, skip, pos, n):
+    while pos < n:
+        pos += skip[{h}]
+    return pos
+"""
+
+
+def _loops(shifts, mask, read):
+    # hash and skip loop with the shift-sum inlined; `read` wraps each
+    # window symbol text[i], oldest first
+    last = len(shifts) - 1
+    terms = [read.format("text[pos]" if i == last else f"text[pos - {last - i}]")
+             for i in range(last + 1)]
+    h = " + ".join(f"({t} << {x})" if x else t for t, x in zip(terms, shifts))
+    names = {"val": _val}
+    exec(_LOOPS.format(h=f"({h}) & {mask}"), names)
+    return names["hash"], names["advance"]
+
+
 class HashScheme:
     """Base class; subclasses override the attributes and ``hash``."""
 
@@ -52,11 +74,17 @@ class HashScheme:
         raise NotImplementedError
 
     def probe(self, seq):
-        """The skip loop's form of ``hash`` for ``seq``, picked once per
-        search: None indexes the table by the symbol itself, an int is
-        a fold mask (``hash(seq, i) == seq[i] & mask``), and a callable
-        is used as ``hash``."""
-        return self.hash
+        """The skip loop for ``seq``, picked once per search: None indexes
+        the table by the symbol itself, an int is a fold mask, and a
+        callable ``advance(text, skip, pos, n)`` runs the whole loop
+        ``while pos < n: pos += skip[hash(text, pos)]``, returning pos."""
+        hash = self.hash
+
+        def advance(text, skip, pos, n):
+            while pos < n:
+                pos += skip[hash(text, pos)]
+            return pos
+        return advance
 
 
 class ZeroScheme(HashScheme):
@@ -71,51 +99,28 @@ class ShiftSumScheme(HashScheme):
     of ``s = len(shifts)`` symbols ending at ``pos``, read oldest first."""
 
     def __init__(self, shifts, mask):
-        self.shifts = shifts = tuple(shifts)
-        self.mask = mask
+        try:  # both are baked into generated code: plain ints only
+            self.shifts = shifts = tuple(map(operator.index, shifts))
+            self.mask = mask = operator.index(mask)
+        except TypeError:
+            shifts = ()
+        if not shifts or min(shifts + (mask,)) < 0:
+            raise ValueError("ShiftSumScheme takes one or more shifts and a "
+                             "mask, all non-negative ints")
         self.suffix_size = len(shifts)
         self.hash_range_max = mask + 1
-        first = 1 - len(shifts)
-
-        def int_shift_sum(seq, pos):  # int-valued buffers need no _val
-            h = 0
-            i = pos + first
-            for shift in shifts:
-                h += seq[i] << shift
-                i += 1
-            return h & mask
-
-        def shift_sum(val):
-            if shifts == (0,):  # a plain fold: a loop would double its cost
-                return lambda seq, pos: val(seq[pos]) & mask
-            def hash(seq, pos):
-                h = 0
-                i = pos + first
-                for shift in shifts:
-                    h += val(seq[i]) << shift
-                    i += 1
-                return h & mask
-            return hash
-
-        self.hash = shift_sum(_val)
-        self._int_hash = int_shift_sum
-        self._str_hash = shift_sum(ord)  # skips _val's type tests
+        self.hash, self._val_loop = _loops(shifts, mask, "val({})")
+        self._int_loop = _loops(shifts, mask, "{}")[1]
+        self._str_loop = _loops(shifts, mask, "ord({})")[1]
 
     def probe(self, seq):
-        if isinstance(seq, (bytes, bytearray, mmap)):
-            fmt = "B"
-        elif isinstance(seq, array):
-            fmt = seq.typecode
-        elif isinstance(seq, memoryview):
-            fmt = seq.format
-        elif isinstance(seq, str):
-            return self._str_hash
-        else:
-            return self.hash
+        fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
+               seq.typecode if isinstance(seq, array) else
+               seq.format if isinstance(seq, memoryview) else None)
         if fmt not in _INT_FORMATS:
-            return self.hash
+            return self._str_loop if isinstance(seq, str) else self._val_loop
         if self.shifts != (0,):
-            return self._int_hash
+            return self._int_loop
         if fmt == "B" and self.mask & 255 == 255:
             return None  # every byte value is its own bucket
         return self.mask

@@ -191,10 +191,10 @@ def _skip_scan(text, pattern, shifts, skip, skew, probe, mismatch_shift,
                adjustment):
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
     # 2 <= m <= n and the pattern's failure links `shifts`.  `probe` turns
-    # the probed symbol into a skip index: None uses the symbol itself, an
-    # int is a fold mask, and a callable is the scheme hash.  `skew` is
-    # added to every direct lookup (the reusable table stores shifts less
-    # the skew).  The probe kind is picked once per skip-loop entry.
+    # the probed symbol into a skip index: None uses the symbol itself and
+    # an int is a fold mask; a callable is the scheme's whole skip loop,
+    # called once per entry.  `skew` is added to every direct lookup (the
+    # reusable table stores shifts less the skew).
     n = len(text)
     m = len(pattern)
     first = pattern[0]
@@ -220,8 +220,7 @@ def _skip_scan(text, pattern, shifts, skip, skew, probe, mismatch_shift,
             while pos < n:
                 pos += skip[text[pos] & fold]
         else:
-            while pos < n:
-                pos += skip[probe(text, pos)]
+            pos = probe(text, skip, pos, n)
         k = pos - n
         if k < m:
             return None  # ran off the end without a tail match
@@ -405,6 +404,8 @@ def dispatch_search(text, pattern, scheme=None):
 ALGORITHM_NAMES = ("sf", "kmp", "l", "al", "hal", "hal2", "hal3", "hal4",
                    "hal5", "nhal")
 
+_PLAIN = {"sf": search_sf, "kmp": search_kmp_basic, "l": search_l,
+          "al": search_al}
 _DNA_HAL = {"hal2": DNA2, "hal3": DNA3, "hal4": DNA4, "hal5": DNA5}
 
 
@@ -415,14 +416,8 @@ def resolve_algorithm(name, scheme=None, nhal_table=None):
     ``scheme`` only affects "hal"; hal2..hal5 carry fixed DNA schemes,
     and "nhal" reuses ``nhal_table`` across calls when one is given.
     """
-    if name == "sf":
-        return search_sf
-    if name == "kmp":
-        return search_kmp_basic
-    if name == "l":
-        return search_l
-    if name == "al":
-        return search_al
+    if name in _PLAIN:
+        return _PLAIN[name]
     if name == "hal":
         return lambda text, pattern: search_hal(text, pattern, scheme)
     if name in _DNA_HAL:

@@ -22,16 +22,7 @@ def test_readme_library_use_example(tmp_path, monkeypatch):
     (tmp_path / "big.log").write_bytes(log)
     monkeypatch.chdir(tmp_path)
     namespace = {}
-    results = []
-    for line in block.splitlines():
-        code = line.split("#", 1)[0].strip()
-        if not code:
-            continue
-        if code.startswith(("import ", "from ")):
-            exec(code, namespace)
-        else:
-            results.append(eval(code, namespace))
-    dispatched, hashed, streamed = results
-    assert dispatched == 6
-    assert hashed == 400
-    assert streamed.position == log.find(b"panic")
+    exec(block, namespace)
+    assert namespace["dispatched"] == 6
+    assert namespace["hashed"] == 400
+    assert namespace["streamed"].position == log.find(b"panic")

@@ -1,12 +1,16 @@
 """Property tests for the package-wide invariants."""
 
+import mmap
+import tempfile
+from array import array
+
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import naive_find, next_oracle
 
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, compute_next,
-                      dispatch_search, resolve_algorithm, run_counted,
-                      search_l)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, SCHEMES, ShiftSumScheme,
+                      compute_next, dispatch_search, resolve_algorithm,
+                      run_counted, search_hal, search_l)
 
 ALPHABETS = (b"ab", b"acgt", b"abcdefghijklmnopqrstuvwxyz", bytes(range(256)))
 
@@ -14,10 +18,10 @@ _ALGOS = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
 
 
 @st.composite
-def search_case(draw):
-    sigma = draw(st.sampled_from(ALPHABETS))
+def search_case(draw, alphabets=ALPHABETS, min_text=0):
+    sigma = draw(st.sampled_from(alphabets))
     symbol = st.sampled_from(sigma)
-    text = bytes(draw(st.lists(symbol, min_size=0, max_size=200)))
+    text = bytes(draw(st.lists(symbol, min_size=min_text, max_size=200)))
     if text and draw(st.booleans()):
         m = draw(st.integers(1, min(24, len(text))))
         start = draw(st.integers(0, len(text) - m))
@@ -38,6 +42,33 @@ def test_every_algorithm_matches_the_oracle(case):
     want = naive_find(text, pattern)
     for name, fn in _ALGOS:
         assert fn(text, pattern).position == want, name
+
+
+_SHIFT_SUMS = [s for s in SCHEMES.values() if isinstance(s, ShiftSumScheme)]
+
+# each kind maps byte values one-to-one, so matches stay where they were
+_KINDS = [bytes, bytearray, memoryview, lambda b: array("B", b),
+          lambda b: array("H", [v * 257 for v in b]),
+          lambda b: array("i", [v * 65537 - (1 << 23) for v in b]),
+          list, lambda b: b.decode("latin-1")]
+
+
+# unbounded lists average 5 symbols, too few for a skip loop to run
+@given(search_case(alphabets=(b"acgt", bytes(range(256))), min_text=64))
+def test_every_shift_sum_loop_matches_the_oracle(case):
+    # covers each skip loop a ShiftSumScheme builds: int buffers, str
+    # and the generic one, plus the inline byte and fold-mask loops
+    text, pattern = case
+    want = naive_find(text, pattern)
+    pairs = [(kind(text), kind(pattern)) for kind in _KINDS]
+    with tempfile.TemporaryFile() as f:
+        f.write(text)
+        f.flush()
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            for t, p in pairs + [(mapped, pattern)]:
+                for scheme in _SHIFT_SUMS:
+                    assert search_hal(t, p, scheme).position == want, \
+                        (type(t), scheme.shifts)
 
 
 @given(search_case())

@@ -75,6 +75,8 @@ def test_probe_agrees_with_hash(scheme):
             list(values), "".join(map(chr, values)),
             memoryview(bytes(values)),
             memoryview(array("H", [v * 257 for v in values]))]
+    # one step of a callable probe over `skip` lands on pos + 1 + hash
+    skip = [h + 1 for h in range(scheme.hash_range_max)]
     for seq in seqs:
         probe = scheme.probe(seq)
         for pos in range(scheme.suffix_size - 1, len(seq)):
@@ -83,7 +85,7 @@ def test_probe_agrees_with_hash(scheme):
             elif isinstance(probe, int):
                 got = seq[pos] & probe
             else:
-                got = probe(seq, pos)
+                got = probe(seq, skip, pos, pos + 1) - pos - 1
             assert got == scheme.hash(seq, pos), (seq, pos)
 
 
@@ -94,12 +96,28 @@ def test_probe_specializes_buffers_and_strings():
     assert BYTE.probe(array("b")) == 255  # negative symbols still fold
     assert BYTE.probe(memoryview(b"ab")) is None
     assert MOD256.probe(memoryview(array("H"))) == 255
-    assert BYTE.probe(memoryview(b"ab").cast("c")) is BYTE.hash  # bytes items
-    # multi-symbol windows get loops that skip _val's type tests
-    assert DNA4.probe(bytearray()) is not DNA4.hash
-    assert DNA4.probe("acgt") is not DNA4.hash
-    assert BYTE.probe("ab") is not BYTE.hash
-    assert DNA4.probe(array("d")) is DNA4.hash
+    # everything else gets a whole skip loop: int buffers and str skip
+    # _val's type tests, any other symbols go through _val
+    generic = BYTE.probe([1, 2])
+    assert callable(generic)
+    assert BYTE.probe(memoryview(b"ab").cast("c")) is generic  # bytes items
+    assert DNA4.probe(bytearray()) is DNA4.probe(array("H"))
+    assert DNA4.probe(bytearray()) is not DNA4.probe([1, 2, 3, 4])
+    assert DNA4.probe("acgt") not in (DNA4.probe(b""), DNA4.probe([]))
+    assert BYTE.probe("ab") not in (None, generic)
+    assert DNA4.probe(array("d")) is DNA4.probe([])
+    assert callable(WORD_HEAD.probe([b"word"]))
+
+
+def test_shift_sum_scheme_validates_its_parameters():
+    for shifts, mask in [(("2",), 255), ((0, -1), 255), ((0,), 255.0),
+                         ((), 255), ((0,), -1), (3, 255)]:
+        with pytest.raises(ValueError):
+            ShiftSumScheme(shifts, mask)
+    for scheme in _SHIFT_SUMS.values():
+        rebuilt = ShiftSumScheme(scheme.shifts, scheme.mask)
+        assert rebuilt.hash(b"acgtac", 5) == scheme.hash(b"acgtac", 5)
+    assert len(_SHIFT_SUMS) == 6
 
 
 def test_misfit_symbols_raise_value_error():
