@@ -16,10 +16,10 @@ symbol values, oldest first, each shifted left by its entry of
 The DNA schemes target 4-letter alphabets with long patterns but accept
 any byte-valued data.
 
-Each scheme also derives its own skip loop, ``probe(text)``: a
-shift-sum scheme generates one from its shifts and mask, with the hash
-written inline, once for int buffers, once for str and once for any
-other symbols.
+Every scheme's ``probe(text)`` returns its skip loop for that text, a
+callable ``advance(text, skip, pos, n)``: the one way a search turns a
+probed window into a skip index.  A shift-sum scheme generates its loops
+with the hash written inline and picks one by the text's buffer format.
 """
 
 import operator
@@ -54,13 +54,13 @@ def advance(text, skip, pos, n):
 
 def _loops(shifts, mask, read):
     # hash and skip loop with the shift-sum inlined; `read` wraps each
-    # window symbol text[i], oldest first
+    # window symbol text[i], oldest first; mask None leaves the sum as is
     last = len(shifts) - 1
     terms = [read.format("text[pos]" if i == last else f"text[pos - {last - i}]")
              for i in range(last + 1)]
     h = " + ".join(f"({t} << {x})" if x else t for t, x in zip(terms, shifts))
     names = {"val": _val}
-    exec(_LOOPS.format(h=f"({h}) & {mask}"), names)
+    exec(_LOOPS.format(h=h if mask is None else f"({h}) & {mask}"), names)
     return names["hash"], names["advance"]
 
 
@@ -74,10 +74,10 @@ class HashScheme:
         raise NotImplementedError
 
     def probe(self, seq):
-        """The skip loop for ``seq``, picked once per search: None indexes
-        the table by the symbol itself, an int is a fold mask, and a
-        callable ``advance(text, skip, pos, n)`` runs the whole loop
-        ``while pos < n: pos += skip[hash(text, pos)]``, returning pos."""
+        """The skip loop for ``seq``, picked once per search: a callable
+        ``advance(text, skip, pos, n)`` that runs ``while pos < n: pos +=
+        skip[hash(text, pos)]`` and returns pos.  Subclasses may inline
+        the hash and specialize the loop to the type of ``seq``."""
         hash = self.hash
 
         def advance(text, skip, pos, n):
@@ -112,18 +112,28 @@ class ShiftSumScheme(HashScheme):
         self.hash, self._val_loop = _loops(shifts, mask, "val({})")
         self._int_loop = _loops(shifts, mask, "{}")[1]
         self._str_loop = _loops(shifts, mask, "ord({})")[1]
+        # a byte indexes the table itself when the mask keeps all its bits
+        self._byte_loop = (_loops(shifts, None, "{}")[1]
+                           if shifts == (0,) and mask & 255 == 255
+                           else self._int_loop)
 
     def probe(self, seq):
+        """Int buffers, str and other symbols each get their own loop;
+        the ``(0,)`` byte loop leaves out a mask that keeps every byte
+        value.  One step over ``ones`` lands on ``pos + 1 + hash``:
+
+        >>> text, ones = "acgt", range(1, DNA4.hash_range_max + 1)
+        >>> DNA4.probe(text)(text, ones, 3, 4), 3 + 1 + DNA4.hash(text, 3)
+        (97, 97)
+        """
         fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
                seq.typecode if isinstance(seq, array) else
                seq.format if isinstance(seq, memoryview) else None)
-        if fmt not in _INT_FORMATS:
-            return self._str_loop if isinstance(seq, str) else self._val_loop
-        if self.shifts != (0,):
+        if fmt == "B":
+            return self._byte_loop
+        if fmt in _INT_FORMATS:
             return self._int_loop
-        if fmt == "B" and self.mask & 255 == 255:
-            return None  # every byte value is its own bucket
-        return self.mask
+        return self._str_loop if isinstance(seq, str) else self._val_loop
 
 
 class WordHeadScheme(HashScheme):

@@ -7,10 +7,12 @@ form ``l`` never re-read text and bound element comparisons by ``2n``;
 ``l`` additionally needs only a single forward pass, so it accepts
 one-shot iterators.  ``al``/``hal`` keep those bounds but add a skip
 loop that advances the alignment by occurrence-table lookups, probing
-one hashed window per stop instead of comparing elements; ``nhal``
-drops the hash in favor of a full 16-bit-alphabet table whose entries
-are skewed so that zero means "default shift", letting one zero-filled
-table be reused across searches.
+one hashed window per stop instead of comparing elements.  That loop
+is always the callable ``advance(text, skip, pos, n)`` that the
+scheme's ``probe(text)`` returns.  ``nhal`` drops the hash in favor of
+a full 16-bit-alphabet table whose entries are skewed so that zero
+means "default shift", letting one zero-filled table be reused across
+searches; its loop adds the skew back.
 
 Conventions: empty patterns match at offset 0; texts shorter than the
 pattern report not-found; size-1 patterns always use a plain linear
@@ -187,41 +189,24 @@ def search_l(text, pattern):
     return SearchOutcome(_l(text, positions, compute_next(positions)))
 
 
-def _skip_scan(text, pattern, shifts, skip, skew, probe, mismatch_shift,
+def _skip_scan(text, pattern, shifts, skip, advance, mismatch_shift,
                adjustment):
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
-    # 2 <= m <= n and the pattern's failure links `shifts`.  `probe` turns
-    # the probed symbol into a skip index: None uses the symbol itself and
-    # an int is a fold mask; a callable is the scheme's whole skip loop,
-    # called once per entry.  `skew` is added to every direct lookup (the
-    # reusable table stores shifts less the skew).
+    # 2 <= m <= n and the pattern's failure links `shifts`.  `advance` is
+    # the whole skip loop, as a scheme's probe(text) returns it: called
+    # once per entry, it runs `while pos < n: pos += skip[<probe>]`.
     n = len(text)
     m = len(pattern)
     first = pattern[0]
-    fold = probe if isinstance(probe, int) else None
     # k is the text position translated by -n, so exit tests compare
     # against zero and `large` entries force an exit by sheer size.
-    # The skip loop itself runs on pos = n + k, hoisting the base
-    # addition out of the hot path.
+    # The skip loop itself runs on pos = n + k.
     k = -n
     while True:
         k += m - 1
         if k >= 0:
             return None
-        pos = n + k
-        if probe is None:
-            if skew:
-                while pos < n:
-                    pos += skip[text[pos]] + skew
-            else:
-                while pos < n:
-                    pos += skip[text[pos]]
-        elif fold is not None:
-            while pos < n:
-                pos += skip[text[pos] & fold]
-        else:
-            pos = probe(text, skip, pos, n)
-        k = pos - n
+        k = advance(text, skip, n + k, n) - n
         if k < m:
             return None  # ran off the end without a tail match
         k -= adjustment
@@ -278,9 +263,8 @@ def _hal(text, pattern, scheme, tables=None):
     if m == 1:
         return _linear_scan(text, pattern[0])
     shifts, table = tables or _tables(pattern, scheme, n)
-    return _skip_scan(text, pattern, shifts, table.shifts, 0,
-                      scheme.probe(text), table.mismatch_shift,
-                      table.adjustment)
+    return _skip_scan(text, pattern, shifts, table.shifts, scheme.probe(text),
+                      table.mismatch_shift, table.adjustment)
 
 
 def search_hal(text, pattern, scheme=None):
@@ -338,6 +322,11 @@ def _nhal(text, pattern, table):
         return _linear_scan(text, pattern[0])
     slots = table.slots
     skew = m  # suffix size 1, so the default shift is m - 1 + 1
+
+    def advance(text, skip, pos, n):
+        while pos < n:
+            pos += skip[text[pos]] + skew
+        return pos
     try:
         for j in range(m - 1):
             slots[pattern[j]] = m - 1 - j - skew
@@ -345,8 +334,8 @@ def _nhal(text, pattern, table):
         mismatch_shift = slots[tail] + skew
         large = n + 1
         slots[tail] = large - skew
-        return _skip_scan(text, pattern, compute_next(pattern), slots, skew,
-                          None, mismatch_shift, large + m - 1)
+        return _skip_scan(text, pattern, compute_next(pattern), slots,
+                          advance, mismatch_shift, large + m - 1)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all

@@ -81,18 +81,13 @@ def compute_skip(pattern, scheme, text_size):
     if m < s:
         raise SuffixTooLong(f"pattern size {m} is below suffix size {s}")
     shifts = [m - s + 1] * scheme.hash_range_max
-    advance = scheme.probe(pattern)  # callable: the pattern type's fast loop
-    if callable(advance):
-        # one step from j over `ones` lands on j + 1 + hash(pattern, j)
-        ones = range(1, scheme.hash_range_max + 1)
-        for j in range(s - 1, m - 1):
-            shifts[advance(pattern, ones, j, j + 1) - j - 1] = m - 1 - j
-        tail = advance(pattern, ones, m - 1, m) - m
-    else:
-        h = scheme.hash
-        for j in range(s - 1, m - 1):
-            shifts[h(pattern, j)] = m - 1 - j
-        tail = h(pattern, m - 1)
+    # the pattern type's skip loop: one step from j over `ones` lands on
+    # j + 1 + hash(pattern, j)
+    advance = scheme.probe(pattern)
+    ones = range(1, scheme.hash_range_max + 1)
+    for j in range(s - 1, m - 1):
+        shifts[advance(pattern, ones, j, j + 1) - j - 1] = m - 1 - j
+    tail = advance(pattern, ones, m - 1, m) - m
     mismatch_shift = shifts[tail]
     large = text_size + 1
     shifts[tail] = large

@@ -1,7 +1,8 @@
 """Brute-force oracles the tests trust instead of the library's tables.
 
 Each oracle evaluates a definition directly, with no sharing of code or
-structure with the implementations it checks.
+structure with the implementations it checks.  ``tuned_bm`` is no oracle
+but a yardstick: the classic search the paper measures hal against.
 """
 
 
@@ -50,3 +51,31 @@ def mismatch_oracle(pattern):
     if not occurrences:
         return m
     return m - 1 - max(occurrences)
+
+
+def tuned_bm(text, pattern):
+    """Hume and Sunday's tuned Boyer-Moore over byte symbols: Horspool's
+    shift table with the tail symbol's entry zeroed drives a skip loop
+    that stops only on the tail symbol; there the other m - 1 symbols
+    are compared left to right, and any mismatch shifts by md2, the
+    tail symbol's shift from before it was zeroed."""
+    n, m = len(text), len(pattern)
+    if m == 0:
+        return 0
+    skip = [m] * 256
+    for j in range(m - 1):
+        skip[pattern[j]] = m - 1 - j
+    md2, skip[pattern[-1]] = skip[pattern[-1]], 0
+    k = m - 1
+    while k < n:
+        d = skip[text[k]]
+        if d:
+            k += d
+            continue
+        j = 0
+        while j < m - 1 and text[k - m + 1 + j] == pattern[j]:
+            j += 1
+        if j == m - 1:
+            return k - m + 1
+        k += md2
+    return None

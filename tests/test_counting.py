@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from oracles import naive_find
+from oracles import naive_find, tuned_bm
 
 from seqmatch import (BYTE, DNA4, CountingSequence, OperationCounts,
-                      dna_text, english_like_text, random16_text, run_counted,
+                      SearchOutcome, build_pattern_plan, dna_text,
+                      english_like_text, random16_text, run_counted,
                       search_hal)
 from seqmatch.counting import COUNT_FIELDS, CountingValue
 
@@ -205,3 +206,42 @@ def test_skip_loop_counts_are_pinned(case):
         outcome, counts = run_counted(name, text, pattern)
         assert outcome.position == position, name
         assert counts == OperationCounts(*tallies), name
+
+
+def _accesses_per_char(algorithm, text, m):
+    # over 10 plan patterns, per element searched (up to the match end,
+    # or the whole text when absent)
+    accesses = elements = 0
+    for pattern in build_pattern_plan(text, (m,), 10).patterns[m]:
+        outcome, counts = run_counted(algorithm, text, pattern)
+        assert outcome.position == naive_find(text, pattern)
+        accesses += counts.element_accesses
+        elements += len(text) if outcome.position is None else \
+            outcome.position + m
+    return accesses / elements
+
+
+def test_hal_against_tuned_boyer_moore():
+    # The paper's claim against Hume and Sunday's tuned Boyer-Moore
+    # (TBM), in exact counts.  Bounds come from counts measured before
+    # this test was written, at these sizes and seeds.
+    tbm = lambda text, pattern: SearchOutcome(tuned_bm(text, pattern))
+    # English-like text: the same skip loop, so accesses tie; measured
+    # hal/TBM 29770/29772, 24979/24977 and 16731/16725 at m = 6, 10, 18
+    text = english_like_text(40_000, seed=0)
+    for m in (6, 10, 18):
+        assert (_accesses_per_char("hal", text, m)
+                <= 1.001 * _accesses_per_char(tbm, text, m)), m
+    # DNA: hal4's four-symbol window pays off; measured hal4/TBM
+    # accesses 0.234 at m = 100 and 0.161 at m = 200
+    dna = dna_text(40_000, seed=0)
+    for m in (100, 200):
+        assert (_accesses_per_char("hal4", dna, m)
+                <= 0.3 * _accesses_per_char(tbm, dna, m)), m
+    # adversarial text: TBM re-compares the pattern's run of a's at every
+    # stop (measured 7.47n), hal stays within 2n (measured 1.9965n)
+    text, pattern = b"a" * 4000, b"a" * 14 + b"ba"
+    n = len(text)
+    hal = run_counted("hal", text, pattern)[1].element_comparisons
+    tuned = run_counted(tbm, text, pattern)[1].element_comparisons
+    assert hal <= 2 * n < tuned

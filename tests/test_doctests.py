@@ -2,6 +2,7 @@ import doctest
 import re
 from pathlib import Path
 
+import seqmatch.schemes
 import seqmatch.search
 import seqmatch.tables
 
@@ -9,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_module_doctests():
-    for mod in (seqmatch.tables, seqmatch.search):
+    for mod in (seqmatch.schemes, seqmatch.tables, seqmatch.search):
         failed, attempted = doctest.testmod(mod)
         assert attempted > 0
         assert failed == 0, mod.__name__

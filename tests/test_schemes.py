@@ -63,8 +63,13 @@ def test_equal_windows_hash_equal(scheme):
         assert scheme.hash(window, pos) == scheme.hash(copy, pos)
 
 
-@pytest.mark.parametrize("scheme", _SHIFT_SUMS.values(),
-                         ids=list(_SHIFT_SUMS))
+# masks 15 and 1023 sit on both sides of the unmasked byte loop's
+# condition, mask & 255 == 255
+_PROBED = {**_SHIFT_SUMS, "low15": ShiftSumScheme((0,), 15),
+           "wide1023": ShiftSumScheme((0,), 1023)}
+
+
+@pytest.mark.parametrize("scheme", _PROBED.values(), ids=list(_PROBED))
 def test_probe_agrees_with_hash(scheme):
     rng = random.Random(9)
     values = [rng.randrange(256) for _ in range(40)]
@@ -75,38 +80,43 @@ def test_probe_agrees_with_hash(scheme):
             list(values), "".join(map(chr, values)),
             memoryview(bytes(values)),
             memoryview(array("H", [v * 257 for v in values]))]
-    # one step of a callable probe over `skip` lands on pos + 1 + hash
+    # one step of the probed loop over `skip` lands on pos + 1 + hash
     skip = [h + 1 for h in range(scheme.hash_range_max)]
     for seq in seqs:
-        probe = scheme.probe(seq)
+        advance = scheme.probe(seq)
         for pos in range(scheme.suffix_size - 1, len(seq)):
-            if probe is None:
-                got = seq[pos]
-            elif isinstance(probe, int):
-                got = seq[pos] & probe
-            else:
-                got = probe(seq, skip, pos, pos + 1) - pos - 1
+            got = advance(seq, skip, pos, pos + 1) - pos - 1
             assert got == scheme.hash(seq, pos), (seq, pos)
 
 
 def test_probe_specializes_buffers_and_strings():
-    assert BYTE.probe(b"ab") is None
-    assert BYTE.probe(array("B")) is None
-    assert MOD256.probe(array("H")) == 255
-    assert BYTE.probe(array("b")) == 255  # negative symbols still fold
-    assert BYTE.probe(memoryview(b"ab")) is None
-    assert MOD256.probe(memoryview(array("H"))) == 255
-    # everything else gets a whole skip loop: int buffers and str skip
-    # _val's type tests, any other symbols go through _val
-    generic = BYTE.probe([1, 2])
-    assert callable(generic)
-    assert BYTE.probe(memoryview(b"ab").cast("c")) is generic  # bytes items
+    kinds = [b"ab", bytearray(b"ab"), "ab", [1, 2], [b"word"], array("B"),
+             array("b"), array("H"), array("d"), memoryview(b"ab"),
+             memoryview(b"ab").cast("c"), memoryview(array("H"))]
+    for scheme in SCHEMES.values():
+        assert all(callable(scheme.probe(seq)) for seq in kinds)
+    # byte buffers share the unmasked loop; other int buffers, signed
+    # bytes included, share the masked one
+    byte_loop, int_loop = BYTE.probe(b"ab"), BYTE.probe(array("H"))
+    assert byte_loop is not int_loop
+    for seq in (bytearray(), array("B"), memoryview(b"ab")):
+        assert BYTE.probe(seq) is byte_loop
+    assert BYTE.probe(array("b")) is int_loop
+    assert MOD256.probe(memoryview(array("H"))) is MOD256.probe(array("H"))
+    # mask 1023 keeps every byte value, so bytes skip it; a mask that
+    # drops byte bits, or a wider window, masks bytes too
+    wide, low = _PROBED["wide1023"], _PROBED["low15"]
+    assert wide.probe(b"") is not wide.probe(array("H"))
+    assert low.probe(b"") is low.probe(array("H"))
     assert DNA4.probe(bytearray()) is DNA4.probe(array("H"))
+    # str gets its own loop; any other symbols go through _val
+    generic = BYTE.probe([1, 2])
+    assert generic not in (byte_loop, int_loop)
+    assert BYTE.probe(memoryview(b"ab").cast("c")) is generic  # bytes items
+    assert DNA4.probe(array("d")) is DNA4.probe([])
     assert DNA4.probe(bytearray()) is not DNA4.probe([1, 2, 3, 4])
     assert DNA4.probe("acgt") not in (DNA4.probe(b""), DNA4.probe([]))
-    assert BYTE.probe("ab") not in (None, generic)
-    assert DNA4.probe(array("d")) is DNA4.probe([])
-    assert callable(WORD_HEAD.probe([b"word"]))
+    assert BYTE.probe("ab") not in (byte_loop, int_loop, generic)
 
 
 def test_shift_sum_scheme_validates_its_parameters():
