@@ -19,7 +19,7 @@ from .errors import (CorrectnessMismatch, EmptyPattern, SuffixTooLong,
                      TestFileError)
 from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
                       WORD_HEAD, ZERO, HashScheme, ShiftSumScheme,
-                      WordHeadScheme, ZeroScheme, default_scheme_for)
+                      WordHeadScheme, default_scheme_for)
 from .search import (ALGORITHM_NAMES, ReusableSkipTable, SearchOutcome,
                      dispatch_search, naive_search, resolve_algorithm,
                      search_al, search_hal, search_kmp_basic, search_l,

@@ -180,6 +180,8 @@ def cmd_bench(args):
     except CorrectnessMismatch as exc:
         print(f"cross-check failed: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # an algorithm or scheme misfits the corpus
+        return _fail(exc)
     out = args.out or f"{args.command}-{args.kind}.tsv"
     report.write(out)
     _echo_summary(report)

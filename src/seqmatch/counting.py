@@ -11,10 +11,9 @@ stay outside the tally.  Loop-index arithmetic runs on native integers,
 which offer no transparent seam in Python, so it is not counted.
 """
 
-import operator
 from dataclasses import dataclass
 
-from .schemes import default_scheme_for
+from .schemes import _val, default_scheme_for
 from .search import resolve_algorithm
 
 COUNT_FIELDS = ("element_comparisons", "element_accesses",
@@ -61,8 +60,9 @@ class CountingValue:
         return not self.__eq__(other)
 
     def __index__(self):
+        # the integer value a skip loop's hash reads: ord for a character
         self._sink.element_accesses += 1
-        return operator.index(self.raw)
+        return _val(self.raw)
 
     __int__ = __index__
 

@@ -65,7 +65,10 @@ def _loops(shifts, mask, read):
 
 
 class HashScheme:
-    """Base class; subclasses override the attributes and ``hash``."""
+    """Base class; subclasses override the attributes and ``hash``.
+
+    An instance with the defaults is the ``zero`` sentinel: with no
+    probe window, every search it is given takes the forward path."""
 
     hash_range_max = 0
     suffix_size = 0
@@ -85,13 +88,6 @@ class HashScheme:
                 pos += skip[hash(text, pos)]
             return pos
         return advance
-
-
-class ZeroScheme(HashScheme):
-    """Sentinel scheme with no usable hash; forces the forward search."""
-
-    def hash(self, seq, pos):
-        return 0
 
 
 class ShiftSumScheme(HashScheme):
@@ -157,7 +153,7 @@ DNA3 = ShiftSumScheme((0, 3, 6), 511)
 DNA4 = ShiftSumScheme((0, 2, 4, 6), 255)
 DNA5 = ShiftSumScheme((0, 2, 4, 6, 8), 255)
 WORD_HEAD = WordHeadScheme()
-ZERO = ZeroScheme()
+ZERO = HashScheme()
 
 SCHEMES = {
     "byte": BYTE,

@@ -18,8 +18,10 @@ Conventions: empty patterns match at offset 0; texts shorter than the
 pattern report not-found; size-1 patterns always use a plain linear
 scan.  Searches never mutate their inputs and may run concurrently,
 except that one ``ReusableSkipTable`` serves one search at a time.
-``dispatch_search``'s table cache is a ``functools.lru_cache``, safe to
-share: its tables are never written after they are built.
+Every hashed search builds its tables for the text's power-of-two size
+class, so ``dispatch_search`` can keep those of bytes and str patterns
+in a ``functools.lru_cache``, safe to share: its tables are never
+written after they are built.
 """
 
 from dataclasses import dataclass
@@ -194,33 +196,32 @@ def _skip_scan(text, pattern, shifts, skip, advance, mismatch_shift,
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
     # 2 <= m <= n and the pattern's failure links `shifts`.  `advance` is
     # the whole skip loop, as a scheme's probe(text) returns it: called
-    # once per entry, it runs `while pos < n: pos += skip[<probe>]`.
+    # once per entry, it runs `while pos < n: pos += skip[<probe>]`.  The
+    # tail slot holds a `large` above n, so only a tail hit stops the loop
+    # at n + m or beyond, and `adjustment` takes it back to its alignment.
     n = len(text)
     m = len(pattern)
     first = pattern[0]
-    # k is the text position translated by -n, so exit tests compare
-    # against zero and `large` entries force an exit by sheer size.
-    # The skip loop itself runs on pos = n + k.
-    k = -n
+    k = 0
     while True:
         k += m - 1
-        if k >= 0:
+        if k >= n:
             return None
-        k = advance(text, skip, n + k, n) - n
-        if k < m:
+        k = advance(text, skip, k, n)
+        if k < n + m:
             return None  # ran off the end without a tail match
         k -= adjustment
-        if text[n + k] != first:
+        if text[k] != first:
             k += mismatch_shift
             continue
         j = 1
         while True:
             k += 1
-            if text[n + k] != pattern[j]:
+            if text[k] != pattern[j]:
                 break
             j += 1
             if j == m:
-                return n + k - m + 1
+                return k - m + 1
         if mismatch_shift > j:
             k += mismatch_shift - j
             continue
@@ -231,25 +232,27 @@ def _skip_scan(text, pattern, shifts, skip, advance, mismatch_shift,
                 break
             if j == 0:
                 break
-            while text[n + k] == pattern[j]:
+            while text[k] == pattern[j]:
                 k += 1
                 j += 1
                 if j == m:
-                    return n + k - m
-                if k == 0:
+                    return k - m
+                if k == n:
                     return None
 
 
-def _tables(pattern, scheme, n):
-    # the skip loop's tables for texts of size <= n, or None if it cannot run
-    m = len(pattern)
-    s = scheme.suffix_size
-    if m < 2 or s == 0 or m < s:
-        return None
-    return compute_next(pattern), compute_skip(pattern, scheme, n)
+def _tables(pattern, scheme, size_bits):
+    # the skip loop's tables for texts of up to 2**size_bits - 1 elements:
+    # large = 2**size_bits exceeds each of them and stays <= 2n for a text
+    # of that size class, so tail hits keep small-int arithmetic
+    return (compute_next(pattern),
+            compute_skip(pattern, scheme, (1 << size_bits) - 1))
 
 
-def _hal(text, pattern, scheme, tables=None):
+_cached_tables = lru_cache(maxsize=256)(_tables)
+
+
+def _hal(text, pattern, scheme, tables=_tables):
     n = len(text)
     m = len(pattern)
     if m == 0:
@@ -262,7 +265,7 @@ def _hal(text, pattern, scheme, tables=None):
         return None
     if m == 1:
         return _linear_scan(text, pattern[0])
-    shifts, table = tables or _tables(pattern, scheme, n)
+    shifts, table = tables(pattern, scheme, n.bit_length())
     return _skip_scan(text, pattern, shifts, table.shifts, scheme.probe(text),
                       table.mismatch_shift, table.adjustment)
 
@@ -359,34 +362,24 @@ def search_nhal(text, pattern, table=None):
     return SearchOutcome(_nhal(text, pattern, table))
 
 
-@lru_cache(maxsize=256)
-def _cached_tables(pattern, scheme, size_bits):
-    # one entry per power-of-two text-size class: large = 2**size_bits
-    # exceeds every text of that class and stays <= 2n, so tail hits keep
-    # small-int arithmetic
-    return _tables(pattern, scheme, (1 << size_bits) - 1)
-
-
 def dispatch_search(text, pattern, scheme=None):
     """Route to the forward search or the hashed skip-loop search.
 
     Sequences offering both ``len`` and indexing count as random access
-    and use ``search_hal`` with the supplied scheme, or with the default
-    registered for the element type; anything merely iterable uses
-    ``search_l``.  The zero sentinel scheme (and any pattern shorter
-    than the scheme's window) lands back on the forward search.  The
-    tables of bytes and str patterns are cached, so many texts searched
-    for one pattern preprocess it once per power-of-two text-size class.
+    and run ``search_hal``'s search with the supplied scheme, or with
+    the default registered for the element type; anything merely
+    iterable uses ``search_l``.  The zero sentinel scheme (and any
+    pattern shorter than the scheme's window) lands back on the forward
+    search.  The tables of bytes and str patterns are cached, so many
+    texts searched for one pattern preprocess it once per power-of-two
+    text-size class.
     """
     cls = type(text)
     if not (hasattr(cls, "__len__") and hasattr(cls, "__getitem__")):
         return search_l(text, pattern)
     if scheme is None:
         scheme = default_scheme_for(text)
-    n = len(text)
-    if type(pattern) not in (bytes, str) or n < len(pattern):
-        return search_hal(text, pattern, scheme)
-    tables = _cached_tables(pattern, scheme, n.bit_length())
+    tables = _cached_tables if type(pattern) in (bytes, str) else _tables
     return SearchOutcome(_hal(text, pattern, scheme, tables))
 
 

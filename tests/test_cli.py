@@ -152,6 +152,21 @@ def test_bench_rejects_unknown_algorithm():
     assert rc == 2
 
 
+def test_bench_and_count_reject_a_misfit_algorithm_or_scheme(tmp_path,
+                                                           capsys):
+    # as find does: exit 2 with a message, no traceback and no report
+    out = tmp_path / "report.tsv"
+    small = ["--size", "3000", "--sizes", "2", "--tests", "2",
+             "--out", str(out)]
+    assert main(["count", "--kind", "words", "--algos", "sf,nhal"]
+                + small) == 2
+    assert "16-bit domain" in capsys.readouterr().err
+    assert main(["bench", "--kind", "text", "--scheme", "word",
+                 "--no-timing"] + small) == 2
+    assert "not a word" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_random16_with_nhal(tmp_path):
     out = tmp_path / "r16.tsv"
     rc = main(["bench", "--kind", "random16", "--size", "6000",

@@ -47,17 +47,25 @@ def test_counting_sequence_classifies_cursor_moves():
 
 def test_counted_outcomes_match_uncounted(subtests=None):
     rng = random.Random(77)
-    for _ in range(250):
-        sigma = rng.choice([b"ab", b"acgt", bytes(range(256))])
-        n = rng.randint(1, 300)
-        m = rng.randint(1, 24)
-        text = bytes(rng.choices(sigma, k=n))
-        pattern = (text[:m] if rng.random() < 0.5 and m <= n
-                   else bytes(rng.choices(sigma, k=m)))
-        want = naive_find(text, pattern)
-        for name in ("sf", "kmp", "l", "al", "hal", "hal2", "nhal"):
-            outcome, counts = run_counted(name, text, pattern)
-            assert outcome.position == want, name
+    byte_texts = ([b"ab", b"acgt", bytes(range(256))], bytes,
+                  ("sf", "kmp", "l", "al", "hal", "hal2", "nhal"))
+    # counted skip loops read a character's ord, as uncounted ones do;
+    # nhal takes integer symbols only
+    str_texts = (["ab\u00e9", "acg\u20ac", "\u00e9\u20ac\U0001f600x"],
+                 "".join, ("sf", "kmp", "l", "al", "hal", "hal2", "hal3",
+                           "hal4", "hal5"))
+    for alphabets, join, names in (byte_texts, str_texts):
+        for _ in range(250):
+            sigma = rng.choice(alphabets)
+            n = rng.randint(1, 300)
+            m = rng.randint(1, 24)
+            text = join(rng.choices(sigma, k=n))
+            pattern = (text[:m] if rng.random() < 0.5 and m <= n
+                       else join(rng.choices(sigma, k=m)))
+            want = naive_find(text, pattern)
+            for name in names:
+                outcome, counts = run_counted(name, text, pattern)
+                assert outcome.position == want, name
 
 
 def test_comparison_bound_2n():

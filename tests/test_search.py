@@ -352,6 +352,28 @@ def test_dispatch_cache_survives_thread_switches():
     assert info.currsize <= info.maxsize
 
 
+def test_tail_slot_at_the_text_size_class_boundaries():
+    # every hashed search sets its tail slot to large = 2**n.bit_length(),
+    # so texts one short of, at and one past a power of two straddle two
+    # size classes; the tail window recurs all through the text, and the
+    # only match sits flush at its end, behind tail hits up to n
+    search._cached_tables.cache_clear()
+    cases = ((BYTE, b"ab", [b"bbab", b"bb" + b"ab" * 5]),
+             (DNA4, b"acgt", [b"ttacgt", b"tt" + b"acgt" * 4]))
+    for scheme, filler, patterns in cases:
+        for b in range(6, 11):
+            for n in (2**b - 1, 2**b, 2**b + 1):
+                for pattern in patterns:
+                    m = len(pattern)
+                    text = (filler * n)[:n - m] + pattern
+                    assert naive_find(text, pattern) == n - m
+                    assert search_hal(text, pattern, scheme).position == n - m
+                    assert dispatch_search(text, pattern,
+                                           scheme).position == n - m
+                    if scheme is BYTE:
+                        assert search_al(text, pattern).position == n - m
+
+
 def test_resolve_algorithm_rejects_unknown_names():
     with pytest.raises(ValueError):
         resolve_algorithm("boyer")
