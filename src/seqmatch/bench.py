@@ -23,10 +23,10 @@ distance + pattern size, summed over the plan) / 1e6 / seconds.
 import time
 from dataclasses import dataclass, field
 
-from .counting import COUNT_FIELDS, OperationCounts, run_counted
+from .counting import COUNT_FIELDS, CountingSequence, OperationCounts
 from .errors import CorrectnessMismatch
 from .schemes import default_scheme_for
-from .search import ReusableSkipTable, resolve_algorithm
+from .search import resolve_algorithm
 
 TSV_COLUMNS = ("corpus", "algorithm", "pattern_size", "total_elements",
                "seconds", "elements_per_us")
@@ -85,9 +85,11 @@ def _walk(corpus, plan, algorithms, hal_scheme, counted=False):
     if isinstance(algorithms, dict):
         resolved = list(algorithms.items())
     else:
-        nhal_table = ReusableSkipTable()  # shared by every "nhal" cell
-        resolved = [(name, resolve_algorithm(name, scheme=hal_scheme,
-                                             nhal_table=nhal_table))
+        if hal_scheme is None:
+            # pinned from the raw corpus: the counting proxy hides the
+            # element type the registry keys on
+            hal_scheme = default_scheme_for(corpus)
+        resolved = [(name, resolve_algorithm(name, scheme=hal_scheme))
                     for name in algorithms]
     n = len(corpus)
     for m in plan.sizes:
@@ -98,14 +100,9 @@ def _walk(corpus, plan, algorithms, hal_scheme, counted=False):
             sink = OperationCounts()
             positions = []
             for p in patterns:
-                if counted:
-                    outcome, counts = run_counted(fn, corpus, p)
-                    for fname in COUNT_FIELDS:
-                        setattr(sink, fname, getattr(sink, fname)
-                                + getattr(counts, fname))
-                else:
-                    outcome = fn(corpus, p)
-                positions.append(outcome.position)
+                # one sink per cell; a fresh proxy (and cursor) per search
+                text = CountingSequence(corpus, sink) if counted else corpus
+                positions.append(fn(text, p).position)
             if baseline is None:
                 baseline = positions
             for i, (got, want) in enumerate(zip(positions, baseline)):
@@ -190,10 +187,6 @@ def run_counts(corpus, plan, algorithms, corpus_name="corpus",
     representative of speed), which keeps the output byte-for-byte
     reproducible for a given corpus, plan, and algorithm list.
     """
-    if hal_scheme is None:
-        # the counting proxy hides the element type, so pin the default
-        # scheme from the raw corpus up front
-        hal_scheme = default_scheme_for(corpus)
     report = BenchReport(counted=True)
     for m, _, cells in _walk(corpus, plan, algorithms, hal_scheme,
                              counted=True):

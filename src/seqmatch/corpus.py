@@ -137,7 +137,6 @@ class PatternPlan:
     """
 
     sizes: tuple
-    tests: int
     patterns: dict
 
 
@@ -165,4 +164,4 @@ def build_pattern_plan(corpus, sizes, tests, dictionary=None):
                 words = [words[t * skip] for t in range(tests)]
             chosen.extend(words)
         by_size[m] = chosen
-    return PatternPlan(tuple(sizes), tests, by_size)
+    return PatternPlan(tuple(sizes), by_size)

@@ -11,6 +11,7 @@ stay outside the tally.  Loop-index arithmetic runs on native integers,
 which offer no transparent seam in Python, so it is not counted.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .schemes import _val, default_scheme_for
@@ -56,15 +57,15 @@ class CountingValue:
             other = other.raw
         return self.raw == other
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __index__(self):
-        # the integer value a skip loop's hash reads: ord for a character
+        # table indexing: a character has no index, as on a plain text
+        self._sink.element_accesses += 1
+        return operator.index(self.raw)
+
+    def symbol_value(self):
+        """What a hash reads through ``schemes._val``: ord for a char."""
         self._sink.element_accesses += 1
         return _val(self.raw)
-
-    __int__ = __index__
 
     def __getitem__(self, i):
         # word elements: reading a character is an access

@@ -15,13 +15,13 @@ means "default shift", letting one zero-filled table be reused across
 searches; its loop adds the skew back.
 
 Conventions: empty patterns match at offset 0; texts shorter than the
-pattern report not-found; size-1 patterns always use a plain linear
-scan.  Searches never mutate their inputs and may run concurrently,
-except that one ``ReusableSkipTable`` serves one search at a time.
-Every hashed search builds its tables for the text's power-of-two size
-class, so ``dispatch_search`` can keep those of bytes and str patterns
-in a ``functools.lru_cache``, safe to share: its tables are never
-written after they are built.
+pattern report not-found; size-1 patterns take a linear scan, but kmp
+runs its own loop.  Searches never mutate their inputs and may run
+concurrently, except that one ``ReusableSkipTable`` serves one search
+at a time.  Every hashed search builds its tables for the text's
+power-of-two size class, so ``dispatch_search`` can keep those of bytes
+and str patterns in a ``functools.lru_cache``, safe to share: its
+tables are never written after they are built.
 """
 
 from dataclasses import dataclass
@@ -43,6 +43,7 @@ class SearchOutcome:
         return self.position is not None
 
 
+# kept in the package: `seqmatch selftest` and criterion 1 check against it
 def naive_search(text, pattern):
     """Reference scan: try every alignment in order, first match wins.
 
@@ -391,12 +392,12 @@ _PLAIN = {"sf": search_sf, "kmp": search_kmp_basic, "l": search_l,
 _DNA_HAL = {"hal2": DNA2, "hal3": DNA3, "hal4": DNA4, "hal5": DNA5}
 
 
-def resolve_algorithm(name, scheme=None, nhal_table=None):
+def resolve_algorithm(name, scheme=None):
     """Bind an algorithm name to a ``(text, pattern) -> SearchOutcome``
     callable.
 
     ``scheme`` only affects "hal"; hal2..hal5 carry fixed DNA schemes,
-    and "nhal" reuses ``nhal_table`` across calls when one is given.
+    and "nhal" reuses one table of its own across calls.
     """
     if name in _PLAIN:
         return _PLAIN[name]
@@ -406,6 +407,6 @@ def resolve_algorithm(name, scheme=None, nhal_table=None):
         dna = _DNA_HAL[name]
         return lambda text, pattern: search_hal(text, pattern, dna)
     if name == "nhal":
-        table = nhal_table if nhal_table is not None else ReusableSkipTable()
+        table = ReusableSkipTable()
         return lambda text, pattern: search_nhal(text, pattern, table)
     raise ValueError(f"unknown algorithm {name!r}")

@@ -54,17 +54,17 @@ class SkipTable:
     ``shifts[h]`` says how far the alignment may advance when the
     probed window hashes to ``h``.  The entry for the pattern's tail
     window is replaced by ``large`` (text size + 1, big enough to force
-    the scan loop past its single exit test), ``adjustment`` undoes
-    that translation after the loop, and ``mismatch_shift`` preserves
-    the tail entry's value from before the substitution.
+    the scan loop past its single exit test); ``adjustment``, which is
+    ``large + m - 1``, undoes that after the loop, and ``mismatch_shift``
+    keeps the tail entry's value from before the substitution.
     """
 
     shifts: list
     mismatch_shift: int
-    large: int
     adjustment: int
 
 
+# signature kept: perfbench's traced run times this call directly
 def compute_skip(pattern, scheme, text_size):
     """Build the skip table for ``pattern`` under ``scheme``.
 
@@ -91,4 +91,4 @@ def compute_skip(pattern, scheme, text_size):
     mismatch_shift = shifts[tail]
     large = text_size + 1
     shifts[tail] = large
-    return SkipTable(shifts, mismatch_shift, large, large + m - 1)
+    return SkipTable(shifts, mismatch_shift, large + m - 1)

@@ -3,10 +3,10 @@ import random
 import pytest
 from oracles import naive_find, tuned_bm
 
-from seqmatch import (BYTE, DNA4, CountingSequence, OperationCounts,
-                      SearchOutcome, build_pattern_plan, dna_text,
-                      english_like_text, random16_text, run_counted,
-                      search_hal)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, CountingSequence,
+                      OperationCounts, SearchOutcome, build_pattern_plan,
+                      dna_text, english_like_text, random16_text,
+                      resolve_algorithm, run_counted, search_hal)
 from seqmatch.counting import COUNT_FIELDS, CountingValue
 
 
@@ -45,16 +45,29 @@ def test_counting_sequence_classifies_cursor_moves():
     assert sink.cursor_other_ops == 6
 
 
+def _position_or_error(search, text, pattern):
+    try:
+        return search(text, pattern).position
+    except Exception as exc:
+        return type(exc)
+
+
+def _counted(name):
+    return lambda text, pattern: run_counted(name, text, pattern)[0]
+
+
 def test_counted_outcomes_match_uncounted(subtests=None):
     rng = random.Random(77)
-    byte_texts = ([b"ab", b"acgt", bytes(range(256))], bytes,
+    byte_texts = ([b"ab", b"acgt", bytes(range(256))], bytes, list,
                   ("sf", "kmp", "l", "al", "hal", "hal2", "nhal"))
     # counted skip loops read a character's ord, as uncounted ones do;
-    # nhal takes integer symbols only
+    # nhal takes integer symbols only, so it raises on str texts
     str_texts = (["ab\u00e9", "acg\u20ac", "\u00e9\u20ac\U0001f600x"],
-                 "".join, ("sf", "kmp", "l", "al", "hal", "hal2", "hal3",
-                           "hal4", "hal5"))
-    for alphabets, join, names in (byte_texts, str_texts):
+                 "".join, lambda p: list(map(ord, p)),
+                 ("sf", "kmp", "l", "al", "hal", "hal2", "hal3", "hal4",
+                  "hal5"))
+    plain = {name: resolve_algorithm(name) for name in ALGORITHM_NAMES}
+    for alphabets, join, ints, names in (byte_texts, str_texts):
         for _ in range(250):
             sigma = rng.choice(alphabets)
             n = rng.randint(1, 300)
@@ -63,9 +76,17 @@ def test_counted_outcomes_match_uncounted(subtests=None):
             pattern = (text[:m] if rng.random() < 0.5 and m <= n
                        else join(rng.choices(sigma, k=m)))
             want = naive_find(text, pattern)
-            for name in names:
-                outcome, counts = run_counted(name, text, pattern)
-                assert outcome.position == want, name
+            runs = [(name, pattern) for name in ALGORITHM_NAMES]
+            for name, p in runs + [("nhal", ints(pattern))]:
+                got = _position_or_error(plain[name], text, p)
+                assert _position_or_error(_counted(name), text, p) == got, \
+                    (name, text, p)
+                if name in names and p is pattern:
+                    assert got == want, name
+    # a character indexes no table, counted or not
+    for search in (plain["nhal"], _counted("nhal")):
+        with pytest.raises(ValueError, match="16-bit domain"):
+            search("abcabxyz", [97, 98])
 
 
 def test_comparison_bound_2n():

@@ -63,9 +63,11 @@ def test_equal_windows_hash_equal(scheme):
         assert scheme.hash(window, pos) == scheme.hash(copy, pos)
 
 
-# masks 15 and 1023 sit on both sides of the unmasked byte loop's
-# condition, mask & 255 == 255
+# masks 15, 127 and 1023 sit on both sides of the unmasked byte loop's
+# condition, mask & 255 == 255; 127 also drops the top bit of the byte
+# values up to 255 probed below
 _PROBED = {**_SHIFT_SUMS, "low15": ShiftSumScheme((0,), 15),
+           "low127": ShiftSumScheme((0,), 127),
            "wide1023": ShiftSumScheme((0,), 1023)}
 
 

@@ -301,7 +301,7 @@ def test_dispatch_cache_serves_one_entry_per_text_size_class():
     assert cached.cache_info().misses == 2
     # the tail slot exceeds every text of the class [128, 256) but stays
     # <= 2n, so tail hits keep small-int arithmetic
-    assert cached(pattern, BYTE, 8)[1].large == 256
+    assert cached(pattern, BYTE, 8)[1].shifts[pattern[-1]] == 256
 
 
 def test_dispatch_cache_stays_within_its_bound():

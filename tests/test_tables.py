@@ -52,7 +52,6 @@ def test_preprocessing_is_idempotent():
 def test_skip_table_for_abc_under_identity_hash():
     table = compute_skip(b"abc", BYTE, 10)
     assert table.mismatch_shift == 3
-    assert table.large == 11
     assert table.adjustment == 13
     assert table.shifts[ord("a")] == 2
     assert table.shifts[ord("b")] == 1
@@ -70,7 +69,7 @@ def test_skip_table_tail_repeat_sets_mismatch_shift():
 def test_skip_table_single_repeated_symbol():
     m = 7
     table = compute_skip(b"x" * m, BYTE, 50)
-    assert table.shifts[ord("x")] == table.large
+    assert table.shifts[ord("x")] == 51
     assert all(table.shifts[h] == m for h in range(256) if h != ord("x"))
 
 
@@ -85,7 +84,7 @@ def test_skip_table_matches_definition_under_identity_hash():
         assert pre == skip_oracle_identity(pattern)
         assert table.mismatch_shift == mismatch_oracle(pattern)
         assert 1 <= table.mismatch_shift <= m
-        assert table.adjustment == table.large + m - 1
+        assert table.adjustment == 1001 + m - 1
 
 
 def test_skip_table_bounds_pre_substitution():
@@ -98,7 +97,7 @@ def test_skip_table_bounds_pre_substitution():
         tail = DNA4.hash(pattern, m - 1)
         for h, shift in enumerate(table.shifts):
             if h == tail:
-                assert shift == table.large
+                assert shift == 501
             else:
                 assert 0 <= shift <= m - s + 1
 
