@@ -14,7 +14,7 @@ which offer no transparent seam in Python, so it is not counted.
 import operator
 from dataclasses import dataclass
 
-from .schemes import _val, default_scheme_for
+from .schemes import _items, _val, default_scheme_for
 from .search import resolve_algorithm
 
 COUNT_FIELDS = ("element_comparisons", "element_accesses",
@@ -93,7 +93,7 @@ class CountingSequence:
     __slots__ = ("_seq", "_sink", "_last")
 
     def __init__(self, seq, sink):
-        self._seq = seq
+        self._seq = _items(seq)
         self._sink = sink
         self._last = None
 

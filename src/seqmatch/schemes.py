@@ -11,8 +11,8 @@ built-ins lean toward cheap arithmetic.
 The integer schemes (byte, mod256, dna2..dna5, listed at the bottom) are
 all one ``ShiftSumScheme(shifts, mask)``: the ``len(shifts)`` trailing
 symbol values, oldest first, each shifted left by its entry of
-``shifts``, then summed and masked.  ``byte`` (bytes and strings) and
-``mod256`` (wide integer symbols) hash alike but stay distinct objects.
+``shifts``, then summed and masked.  ``mod256``, the default for integer
+symbols, is another name for ``byte``.
 The DNA schemes target 4-letter alphabets with long patterns but accept
 any byte-valued data.
 
@@ -41,6 +41,12 @@ def _val(x):
                 operator.index(x))
     except TypeError:
         raise ValueError(f"symbol {x!r} has no integer value") from None
+
+
+def _items(seq):
+    """``seq`` for iteration: an mmap iterates as 1-byte bytes, so it is
+    read through a memoryview, whose items are ints as it indexes."""
+    return memoryview(seq) if isinstance(seq, mmap) else seq
 
 
 _LOOPS = """\
@@ -150,8 +156,7 @@ class WordHeadScheme(HashScheme):
 
 
 BYTE = ShiftSumScheme((0,), 255)
-# BYTE's twin, kept apart: perfbench names its spans by scheme identity
-MOD256 = ShiftSumScheme((0,), 255)
+MOD256 = BYTE
 DNA2 = ShiftSumScheme((0, 3), 63)
 DNA3 = ShiftSumScheme((0, 3, 6), 511)
 DNA4 = ShiftSumScheme((0, 2, 4, 6), 255)
@@ -179,7 +184,7 @@ def default_scheme_for(text):
     anything else the zero sentinel (which routes to the forward
     search).
     """
-    if isinstance(text, (bytes, bytearray, memoryview, str)):
+    if isinstance(text, (bytes, bytearray, str)):
         return BYTE
     try:
         first = text[0]

@@ -14,9 +14,11 @@ a full 16-bit-alphabet table whose entries are skewed so that zero
 means "default shift", letting one zero-filled table be reused across
 searches; its loop adds the skew back.
 
-Conventions: empty patterns match at offset 0; texts shorter than the
-pattern report not-found; size-1 patterns take a linear scan, but kmp
-runs its own loop.  Searches never mutate their inputs and may run
+Conventions, applied once in front of every random-access search:
+empty patterns match at offset 0; texts shorter than the pattern report
+not-found; size-1 patterns take ``l``'s forward scan.  Wherever a search
+iterates a text or pattern, an mmap is read as int items, like bytes
+(``schemes._items``).  Searches never mutate their inputs and may run
 concurrently, except that one ``ReusableSkipTable`` serves one search
 at a time.  Every hashed search builds its tables for the text's
 power-of-two size class, so ``dispatch_search`` can keep those of bytes
@@ -26,9 +28,8 @@ tables are never written after they are built.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from mmap import mmap
 
-from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, default_scheme_for
+from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, _items, default_scheme_for
 from .tables import compute_next, compute_skip
 
 
@@ -60,26 +61,23 @@ def naive_search(text, pattern):
     return SearchOutcome(None)
 
 
-def _linear_scan(text, first):
-    # size-1 patterns: plain find, no tables; an mmap iterates as bytes
-    k = 0
-    for x in (memoryview(text) if isinstance(text, mmap) else text):
-        if x == first:
-            return k
-        k += 1
-    return None
-
-
-def _sf(text, pattern):
+def _search(search, text, pattern, arg):
+    # The one entry of every random-access search: it applies the
+    # conventions, so `search(text, pattern, n, m, arg)` runs with
+    # 2 <= m <= n and returns the offset or None.
     n = len(text)
     m = len(pattern)
     if m == 0:
-        return 0
+        return SearchOutcome(0)
     if n < m:
-        return None
-    first = pattern[0]
+        return SearchOutcome(None)
     if m == 1:
-        return _linear_scan(text, first)
+        return SearchOutcome(_l(text, pattern, None))
+    return SearchOutcome(search(text, pattern, n, m, arg))
+
+
+def _sf(text, pattern, n, m, _):
+    first = pattern[0]
     limit = n - m
     k = 0
     while k <= limit:
@@ -106,16 +104,10 @@ def search_sf(text, pattern):
     >>> search_sf("abc", "abd").position is None
     True
     """
-    return SearchOutcome(_sf(text, pattern))
+    return _search(_sf, text, pattern, None)
 
 
-def _kmp(text, pattern):
-    n = len(text)
-    m = len(pattern)
-    if m == 0:
-        return 0
-    if n < m:
-        return None
+def _kmp(text, pattern, n, m, _):
     shifts = compute_next(pattern)
     j = 0
     k = 0
@@ -131,15 +123,13 @@ def _kmp(text, pattern):
 
 def search_kmp_basic(text, pattern):
     """Textbook failure-link search; O(m + n), comparisons <= 2n."""
-    return SearchOutcome(_kmp(text, pattern))
+    return _search(_kmp, text, pattern, None)
 
 
 def _l(text, positions, shifts):
     m = len(positions)
     first = positions[0]
-    if m == 1:
-        return _linear_scan(text, first)
-    step = iter(memoryview(text) if isinstance(text, mmap) else text).__next__
+    step = iter(_items(text)).__next__
     # `cur` is the element under the cursor, `k` its position.  Running
     # off the end anywhere means no match, hence the blanket handler.
     k = 0
@@ -149,6 +139,8 @@ def _l(text, positions, shifts):
             while cur != first:  # scan
                 cur = step()
                 k += 1
+            if m == 1:
+                return k
             j = 1  # verify positions 1 .. m-1
             cur = step()
             k += 1
@@ -186,13 +178,13 @@ def search_l(text, pattern):
     >>> search_l(iter("Now's the time..."), "time").position
     10
     """
-    positions = list(pattern)
+    positions = list(_items(pattern))
     if not positions:
         return SearchOutcome(0)
     return SearchOutcome(_l(text, positions, compute_next(positions)))
 
 
-def _skip_scan(text, pattern, shifts, skip, advance, mismatch_shift,
+def _skip_scan(text, pattern, n, m, shifts, skip, advance, mismatch_shift,
                adjustment):
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
     # 2 <= m <= n and the pattern's failure links `shifts`.  `advance` is
@@ -200,8 +192,6 @@ def _skip_scan(text, pattern, shifts, skip, advance, mismatch_shift,
     # once per entry, it runs `while pos < n: pos += skip[<probe>]`.  The
     # tail slot holds a `large` above n, so only a tail hit stops the loop
     # at n + m or beyond, and `adjustment` takes it back to its alignment.
-    n = len(text)
-    m = len(pattern)
     first = pattern[0]
     k = 0
     while True:
@@ -253,22 +243,25 @@ def _tables(pattern, scheme, size_bits):
 _cached_tables = lru_cache(maxsize=256)(_tables)
 
 
-def _hal(text, pattern, scheme, tables=_tables):
-    n = len(text)
-    m = len(pattern)
-    if m == 0:
-        return 0
-    s = scheme.suffix_size
-    if s == 0 or m < s:
-        # scheme cannot cover a probe window; use the forward search
-        return _l(text, pattern, compute_next(pattern))
-    if n < m:
-        return None
-    if m == 1:
-        return _linear_scan(text, pattern[0])
-    shifts, table = tables(pattern, scheme, n.bit_length())
-    return _skip_scan(text, pattern, shifts, table.shifts, scheme.probe(text),
-                      table.mismatch_shift, table.adjustment)
+def _hal_over(tables):
+    # the search of al, hal, hal2..hal5 and dispatch, on the tables that
+    # `tables(pattern, scheme, size_bits)` returns
+    def hal(text, pattern, n, m, scheme):
+        if scheme is None:
+            scheme = default_scheme_for(text)
+        s = scheme.suffix_size
+        if s == 0 or m < s:
+            # scheme cannot cover a probe window; use the forward search
+            return _l(text, pattern, compute_next(pattern))
+        shifts, table = tables(pattern, scheme, n.bit_length())
+        return _skip_scan(text, pattern, n, m, shifts, table.shifts,
+                          scheme.probe(text), table.mismatch_shift,
+                          table.adjustment)
+    return hal
+
+
+_hal = _hal_over(_tables)
+_cached_hal = _hal_over(_cached_tables)
 
 
 def search_hal(text, pattern, scheme=None):
@@ -281,9 +274,7 @@ def search_hal(text, pattern, scheme=None):
     the forward search.  Comparisons stay <= 2n regardless of scheme
     quality.
     """
-    if scheme is None:
-        scheme = default_scheme_for(text)
-    return SearchOutcome(_hal(text, pattern, scheme))
+    return _search(_hal, text, pattern, scheme)
 
 
 def search_al(text, pattern):
@@ -293,7 +284,7 @@ def search_al(text, pattern):
     probe inspects the single element under the pattern's last
     position.
     """
-    return SearchOutcome(_hal(text, pattern, BYTE))
+    return _search(_hal, text, pattern, BYTE)
 
 
 class ReusableSkipTable:
@@ -312,18 +303,7 @@ class ReusableSkipTable:
         self.slots = [0] * self.size
 
 
-def _nhal(text, pattern, table):
-    n = len(text)
-    m = len(pattern)
-    if m == 0:
-        return 0
-    if n < m:
-        return None
-    if not all(isinstance(s, int) and 0 <= s < table.size for s in pattern):
-        raise ValueError("pattern symbols must be integers in the table's "
-                         "16-bit domain")
-    if m == 1:
-        return _linear_scan(text, pattern[0])
+def _nhal(text, pattern, n, m, table):
     slots = table.slots
     skew = m  # suffix size 1, so the default shift is m - 1 + 1
 
@@ -338,7 +318,7 @@ def _nhal(text, pattern, table):
         mismatch_shift = slots[tail] + skew
         large = n + 1
         slots[tail] = large - skew
-        return _skip_scan(text, pattern, compute_next(pattern), slots,
+        return _skip_scan(text, pattern, n, m, compute_next(pattern), slots,
                           advance, mismatch_shift, large + m - 1)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
@@ -360,7 +340,11 @@ def search_nhal(text, pattern, table=None):
     """
     if table is None:
         table = ReusableSkipTable()
-    return SearchOutcome(_nhal(text, pattern, table))
+    if not all(isinstance(s, int) and 0 <= s < table.size
+               for s in _items(pattern)):
+        raise ValueError("pattern symbols must be integers in the table's "
+                         "16-bit domain")
+    return _search(_nhal, text, pattern, table)
 
 
 def dispatch_search(text, pattern, scheme=None):
@@ -378,10 +362,8 @@ def dispatch_search(text, pattern, scheme=None):
     cls = type(text)
     if not (hasattr(cls, "__len__") and hasattr(cls, "__getitem__")):
         return search_l(text, pattern)
-    if scheme is None:
-        scheme = default_scheme_for(text)
-    tables = _cached_tables if type(pattern) in (bytes, str) else _tables
-    return SearchOutcome(_hal(text, pattern, scheme, tables))
+    hal = _cached_hal if type(pattern) in (bytes, str) else _hal
+    return _search(hal, text, pattern, scheme)
 
 
 ALGORITHM_NAMES = ("sf", "kmp", "l", "al", "hal", "hal2", "hal3", "hal4",

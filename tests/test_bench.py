@@ -65,6 +65,10 @@ def test_load_corpus_kinds(tmp_path):
     f.write_bytes(b"a b  c\n")
     assert load_corpus("words", path=f) == [b"a", b"b", b"c"]
     assert load_corpus("text", path=f) == b"a b  c\n"
+    # little-endian 16-bit symbols; an odd last byte is dropped
+    odd = tmp_path / "odd.bin"
+    odd.write_bytes(b"\x01\x00\x02\x01\xff\xff\x07")
+    assert load_corpus("random16", path=odd) == array("H", [1, 258, 65535])
     empty = tmp_path / "empty"
     empty.write_bytes(b"")
     with pytest.raises(ValueError):

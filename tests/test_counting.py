@@ -89,6 +89,15 @@ def test_counted_outcomes_match_uncounted(subtests=None):
             search("abcabxyz", [97, 98])
 
 
+def test_nhal_checks_its_pattern_before_the_edge_cases():
+    # an out-of-domain pattern raises even where the text is too short
+    # for it to match, counted or not
+    for search in (resolve_algorithm("nhal"), _counted("nhal")):
+        for text in (b"", b"a", b"ab"):
+            with pytest.raises(ValueError, match="pattern symbols"):
+                search(text, [1, 1 << 16, 2])
+
+
 def test_comparison_bound_2n():
     rng = random.Random(78)
     cases = []
@@ -155,6 +164,39 @@ def test_text_read_budget_stays_linear():
             _, counts = run_counted(name, text, pattern)
             reads = counts.cursor_big_jumps + counts.cursor_other_ops
             assert reads <= 4 * (n + m), (name, n, m, reads)
+
+
+class _Budget:
+    """Counting sink that fails as soon as any tally passes ``limit``."""
+
+    def __init__(self, limit):
+        self.__dict__.update(dict.fromkeys(COUNT_FIELDS, 0), limit=limit)
+
+    def __setattr__(self, name, value):
+        if value > self.limit:
+            raise AssertionError(f"{name} passed {self.limit}")
+        self.__dict__[name] = value
+
+
+def test_skip_loops_stop_within_a_linear_budget():
+    # A skip loop that stops advancing reads the text forever, and every
+    # read is tallied: the budget fails such a search at once, long
+    # before the suite's per-test time limit would.
+    rng = random.Random(80)
+    searches = {name: resolve_algorithm(name, BYTE)
+                for name in ("al", "hal", "hal2", "hal4", "nhal")}
+    for _ in range(3000):
+        sigma = rng.choice([b"ab", b"abc", b"acgt"])
+        n = rng.randint(1, 40)
+        m = rng.randint(2, 8)
+        text = bytes(rng.choices(sigma, k=n))
+        pattern = (text[n - m:] if rng.random() < 0.5 and m <= n
+                   else bytes(rng.choices(sigma, k=m)))
+        want = naive_find(text, pattern)
+        for name, search in searches.items():
+            sink = _Budget(8 * n + 8)
+            outcome = search(CountingSequence(text, sink), pattern)
+            assert outcome.position == want, (name, text, pattern)
 
 
 def _pinned_inputs():

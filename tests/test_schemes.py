@@ -30,14 +30,16 @@ def test_dna_hashes_follow_their_shift_sums():
                                    + 256 * w[4]) % 256
 
 
-@pytest.mark.parametrize("scheme", _RANGED.values(), ids=list(_RANGED))
-def test_hash_range_bound(scheme):
+# keyed by name: mod256 is byte under another name, fed wide symbols
+@pytest.mark.parametrize("name", list(_RANGED))
+def test_hash_range_bound(name):
+    scheme = _RANGED[name]
     rng = random.Random(7)
     for _ in range(500):
         if scheme is WORD_HEAD:
             seq = [bytes(rng.choices(b"abcdef", k=rng.randint(1, 6)))
                    for _ in range(6)]
-        elif scheme is MOD256:
+        elif name == "mod256":
             seq = [rng.randrange(1 << 16) for _ in range(6)]
         else:
             seq = bytes(rng.choices(bytes(range(256)), k=6))
@@ -45,15 +47,16 @@ def test_hash_range_bound(scheme):
         assert 0 <= h < scheme.hash_range_max
 
 
-@pytest.mark.parametrize("scheme", _RANGED.values(), ids=list(_RANGED))
-def test_equal_windows_hash_equal(scheme):
+@pytest.mark.parametrize("name", list(_RANGED))
+def test_equal_windows_hash_equal(name):
+    scheme = _RANGED[name]
     rng = random.Random(8)
     for _ in range(300):
         if scheme is WORD_HEAD:
             window = [bytes(rng.choices(b"xyz", k=rng.randint(1, 4)))
                       for _ in range(2)]
             copy = [bytes(w) for w in window]
-        elif scheme is MOD256:
+        elif name == "mod256":
             window = [rng.randrange(1 << 16) for _ in range(2)]
             copy = list(window)
         else:
@@ -155,6 +158,10 @@ def test_default_scheme_registry():
     assert default_scheme_for([]) is ZERO
     from array import array
     assert default_scheme_for(array("H", [1, 2])) is MOD256
+    # a memoryview's scheme follows its items, as a list's does
+    assert default_scheme_for(memoryview(b"abc")) is BYTE
+    assert default_scheme_for(memoryview(array("d", [1.0]))) is ZERO
+    assert MOD256 is BYTE  # another name for integer symbols
 
 
 def test_scheme_name_table():

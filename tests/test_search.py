@@ -8,9 +8,9 @@ from oracles import naive_find
 from seqmatch import search
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, HashScheme,
                       ReusableSkipTable, dispatch_search, naive_search,
-                      random16_text, resolve_algorithm, search_al,
-                      search_hal, search_kmp_basic, search_l, search_nhal,
-                      search_sf)
+                      random16_text, resolve_algorithm, run_counted,
+                      search_al, search_hal, search_kmp_basic, search_l,
+                      search_nhal, search_sf)
 
 ALL = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
 
@@ -206,6 +206,34 @@ def test_searches_over_an_mmap(tmp_path):
             assert search_l(text, pattern).position == want  # iterates
 
 
+def test_every_algorithm_over_an_mmap_text():
+    # size 1, and hal4/hal5 below m = 4, take the forward scan, which
+    # iterates the text; counted runs iterate the counting proxy
+    rng = random.Random(14)
+    data = b"xxabcabdxxab" + bytes(rng.choices(b"abcd", k=200))
+    with mmap.mmap(-1, len(data)) as text:
+        text.write(data)
+        for m in (1, 2, 3, 4, 5, 9):
+            for start in (5, 7, 100, 205):
+                pattern = (data[start:start + m] if start + m <= len(data)
+                           else bytes(rng.choices(b"abcd", k=m)))
+                want = naive_find(data, pattern)
+                for name, fn in ALL:
+                    assert fn(text, pattern).position == want, name
+                    assert run_counted(name, text, pattern)[0].position \
+                        == want, name
+
+
+def test_an_mmap_pattern_reads_as_int_symbols():
+    text = b"xxabcabdxxab"
+    with mmap.mmap(-1, 3) as pattern:
+        pattern.write(b"abd")
+        for name, fn in ALL:
+            assert fn(text, pattern).position == 5, name
+        assert search_nhal(text, pattern).position == 5  # a fresh table
+        assert dispatch_search(iter(text), pattern).position == 5
+
+
 def test_nhal_rejects_out_of_domain_text_symbols():
     table = ReusableSkipTable()
     with pytest.raises(ValueError, match="text symbols exceed"):
@@ -238,6 +266,16 @@ def test_dispatch_capability_routing():
     # forward search
     objs = [(1, 2), (3, 4), (5, 6)]
     assert dispatch_search(objs, [(3, 4)]).position == 1
+    # a memoryview's items pick its scheme, as an array's or a list's do
+    for view in (memoryview(array("d", [1.0, 2.0, 3.0, 4.0])),
+                 memoryview(array("f", [1.5, 2.5, 3.5, 4.5])),
+                 memoryview(bytes([1, 2, 3, 4])),
+                 memoryview(array("H", [1, 700, 3, 60000])),
+                 memoryview(bytes([0, 1, 1, 0])).cast("?")):
+        items = view.tolist()
+        assert dispatch_search(view, items[1:3]).position == 1
+        assert dispatch_search(view, items[2:]).position == \
+            naive_find(items, items[2:])
 
 
 def test_dispatch_word_sequences():
