@@ -23,10 +23,8 @@ distance + pattern size, summed over the plan) / 1e6 / seconds.
 import time
 from dataclasses import dataclass, field
 
-from .counting import COUNT_FIELDS, CountingSequence, OperationCounts
+from .counting import COUNT_FIELDS, CountingSequence, OperationCounts, _bind
 from .errors import CorrectnessMismatch
-from .schemes import default_scheme_for
-from .search import resolve_algorithm
 
 TSV_COLUMNS = ("corpus", "algorithm", "pattern_size", "total_elements",
                "seconds", "elements_per_us")
@@ -85,15 +83,10 @@ def _walk(corpus, plan, algorithms, hal_scheme, counted=False):
     if isinstance(algorithms, dict):
         resolved = list(algorithms.items())
     else:
-        if hal_scheme is None:
-            # pinned from the raw corpus: the counting proxy hides the
-            # element type the registry keys on
-            hal_scheme = default_scheme_for(corpus)
-        resolved = [(name, resolve_algorithm(name, scheme=hal_scheme))
+        resolved = [(name, _bind(name, corpus, hal_scheme))
                     for name in algorithms]
     n = len(corpus)
-    for m in plan.sizes:
-        patterns = plan.patterns[m]
+    for m, patterns in plan.patterns.items():
         baseline = None
         cells = []
         for name, fn in resolved:

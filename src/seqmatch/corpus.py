@@ -128,7 +128,8 @@ def load_corpus(kind, path=None, size=None, seed=0):
 
 @dataclass(frozen=True)
 class PatternPlan:
-    """Deterministic pattern sets, one list per requested size.
+    """Deterministic pattern sets: ``patterns`` maps each requested size,
+    once and in the order first requested, to its list.
 
     Text patterns are corpus slices at offsets 0, increment,
     2*increment, ... with increment = (n - m) // tests; dictionary
@@ -136,7 +137,6 @@ class PatternPlan:
     most ``tests`` entries.
     """
 
-    sizes: tuple
     patterns: dict
 
 
@@ -164,4 +164,4 @@ def build_pattern_plan(corpus, sizes, tests, dictionary=None):
                 words = [words[t * skip] for t in range(tests)]
             chosen.extend(words)
         by_size[m] = chosen
-    return PatternPlan(tuple(sizes), by_size)
+    return PatternPlan(by_size)

@@ -117,6 +117,13 @@ class CountingSequence:
             yield CountingValue(raw, sink)
 
 
+def _bind(algorithm, text, scheme):
+    # the search a name runs on `text`, with the raw text's default
+    # scheme bound: a counting proxy hides the element type the registry
+    # keys on
+    return resolve_algorithm(algorithm, scheme or default_scheme_for(text))
+
+
 def run_counted(algorithm, text, pattern, scheme=None):
     """Run one search with counting enabled.
 
@@ -126,13 +133,6 @@ def run_counted(algorithm, text, pattern, scheme=None):
     outcome, whose position always equals the uncounted run's, and the
     tallies.
     """
-    if callable(algorithm):
-        fn = algorithm
-    else:
-        # resolve the default scheme from the unwrapped text: the proxy
-        # hides the element type the registry keys on
-        if scheme is None:
-            scheme = default_scheme_for(text)
-        fn = resolve_algorithm(algorithm, scheme=scheme)
+    fn = algorithm if callable(algorithm) else _bind(algorithm, text, scheme)
     sink = OperationCounts()
     return fn(CountingSequence(text, sink), pattern), sink

@@ -24,6 +24,9 @@ with the hash written inline and picks one by the text's buffer format.
 
 import operator
 from array import array
+from functools import partial
+from io import IOBase
+from itertools import chain
 from mmap import mmap
 
 # array typecodes and memoryview formats whose items are plain ints
@@ -45,8 +48,14 @@ def _val(x):
 
 def _items(seq):
     """``seq`` for iteration: an mmap iterates as 1-byte bytes, so it is
-    read through a memoryview, whose items are ints as it indexes."""
-    return memoryview(seq) if isinstance(seq, mmap) else seq
+    read through a memoryview, whose items are ints as it indexes; a file
+    iterates by lines, so it is read in chunks, as bytes or characters."""
+    if isinstance(seq, mmap):
+        return memoryview(seq)
+    if isinstance(seq, IOBase):
+        return chain.from_iterable(iter(partial(seq.read, 1 << 16),
+                                        seq.read(0)))
+    return seq
 
 
 _LOOPS = """\

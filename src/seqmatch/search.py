@@ -17,13 +17,14 @@ searches; its loop adds the skew back.
 Conventions, applied once in front of every random-access search:
 empty patterns match at offset 0; texts shorter than the pattern report
 not-found; size-1 patterns take ``l``'s forward scan.  Wherever a search
-iterates a text or pattern, an mmap is read as int items, like bytes
-(``schemes._items``).  Searches never mutate their inputs and may run
-concurrently, except that one ``ReusableSkipTable`` serves one search
-at a time.  Every hashed search builds its tables for the text's
-power-of-two size class, so ``dispatch_search`` can keep those of bytes
-and str patterns in a ``functools.lru_cache``, safe to share: its
-tables are never written after they are built.
+iterates a text or pattern, an mmap is read as int items, like bytes,
+and a file in chunks, as bytes or characters (``schemes._items``).
+Searches never mutate their inputs and may run concurrently, except
+that one ``ReusableSkipTable`` serves one search at a time.  Every
+hashed search builds its tables for the text's power-of-two size class,
+so ``dispatch_search`` can keep those of bytes and str patterns in a
+``functools.lru_cache``, safe to share: its tables are never written
+after they are built.
 """
 
 from dataclasses import dataclass
@@ -189,16 +190,14 @@ def _skip_scan(text, pattern, n, m, shifts, skip, advance, mismatch_shift,
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
     # 2 <= m <= n and the pattern's failure links `shifts`.  `advance` is
     # the whole skip loop, as a scheme's probe(text) returns it: called
-    # once per entry, it runs `while pos < n: pos += skip[<probe>]`.  The
-    # tail slot holds a `large` above n, so only a tail hit stops the loop
-    # at n + m or beyond, and `adjustment` takes it back to its alignment.
+    # once per entry, it runs `while pos < n: pos += skip[<probe>]`, so a
+    # pos at or past n comes back unchanged and unread.  The tail slot
+    # holds a `large` above n, so only a tail hit stops the loop at n + m
+    # or beyond, and `adjustment` takes it back to its alignment.
     first = pattern[0]
     k = 0
     while True:
-        k += m - 1
-        if k >= n:
-            return None
-        k = advance(text, skip, k, n)
+        k = advance(text, skip, k + m - 1, n)
         if k < n + m:
             return None  # ran off the end without a tail match
         k -= adjustment
@@ -366,12 +365,11 @@ def dispatch_search(text, pattern, scheme=None):
     return _search(hal, text, pattern, scheme)
 
 
-ALGORITHM_NAMES = ("sf", "kmp", "l", "al", "hal", "hal2", "hal3", "hal4",
-                   "hal5", "nhal")
-
 _PLAIN = {"sf": search_sf, "kmp": search_kmp_basic, "l": search_l,
           "al": search_al}
-_DNA_HAL = {"hal2": DNA2, "hal3": DNA3, "hal4": DNA4, "hal5": DNA5}
+_HAL = {"hal": None, "hal2": DNA2, "hal3": DNA3, "hal4": DNA4, "hal5": DNA5}
+
+ALGORITHM_NAMES = (*_PLAIN, *_HAL, "nhal")
 
 
 def resolve_algorithm(name, scheme=None):
@@ -383,11 +381,9 @@ def resolve_algorithm(name, scheme=None):
     """
     if name in _PLAIN:
         return _PLAIN[name]
-    if name == "hal":
+    if name in _HAL:
+        scheme = _HAL[name] or scheme
         return lambda text, pattern: search_hal(text, pattern, scheme)
-    if name in _DNA_HAL:
-        dna = _DNA_HAL[name]
-        return lambda text, pattern: search_hal(text, pattern, dna)
     if name == "nhal":
         table = ReusableSkipTable()
         return lambda text, pattern: search_nhal(text, pattern, table)

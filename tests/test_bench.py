@@ -182,6 +182,11 @@ def test_run_counts_report():
     # byte-identical across repeat runs
     again = run_counts(corpus, plan, ["sf", "l", "hal"], corpus_name="text")
     assert report.to_tsv() == again.to_tsv()
+    # a size requested twice is still one cell per algorithm
+    plan = build_pattern_plan(corpus, [4, 4, 10], 4)
+    rows = run_counts(corpus, plan, ["sf", "hal"]).rows
+    assert [(r.algorithm, r.pattern_size) for r in rows] == [
+        ("sf", 4), ("hal", 4), ("sf", 10), ("hal", 10)]
 
 
 def test_run_bench_16bit_includes_nhal():

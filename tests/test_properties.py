@@ -1,5 +1,6 @@
 """Property tests for the package-wide invariants."""
 
+import io
 import mmap
 import tempfile
 from array import array
@@ -123,11 +124,30 @@ def test_next_table_matches_definition(pattern):
     assert compute_next(pattern) == next_oracle(pattern)
 
 
-def _over_ab(max_size):
-    return st.lists(st.sampled_from(b"ab"), max_size=max_size).map(bytes)
+def _ab_lines(max_size):
+    return st.lists(st.sampled_from(b"ab\n"), max_size=max_size).map(bytes)
 
 
-@given(_over_ab(40), _over_ab(8))  # the empty pattern included
+@given(_ab_lines(40), _ab_lines(8))  # the empty pattern included
 def test_search_l_on_one_shot_inputs_matches_oracle(text, pattern):
-    assert (search_l(iter(text), iter(pattern)).position
-            == naive_find(text, pattern))
+    want = naive_find(text, pattern)
+    assert search_l(iter(text), iter(pattern)).position == want
+    # a file iterates by lines, but is searched by its bytes or characters
+    for search in (search_l, dispatch_search):
+        assert search(io.BytesIO(text), pattern).position == want
+        assert (search(io.StringIO(text.decode()), pattern.decode()).position
+                == want)
+    assert run_counted("l", io.BytesIO(text), pattern)[0].position == want
+
+
+def test_a_file_is_searched_across_its_read_chunks(tmp_path):
+    path = tmp_path / "big.log"
+    start = (1 << 16) - 3  # the match straddles the first 64 KiB read
+    path.write_bytes(b"pani\n" * (start // 5) + b"x" * (start % 5)
+                     + b"panic" + b"\nx" * 2_200)
+    for mode, pattern, kwargs in (("rb", b"panic", {}),
+                                  ("r", "panic", {"encoding": "ascii"}),
+                                  ("rb", b"panic", {"buffering": 0})):
+        for search in (search_l, dispatch_search):
+            with open(path, mode, **kwargs) as f:
+                assert search(f, pattern).position == start

@@ -412,6 +412,12 @@ def test_tail_slot_at_the_text_size_class_boundaries():
                         assert search_al(text, pattern).position == n - m
 
 
+def test_algorithm_names_keep_their_order():
+    # reports, the cli and the tests list the algorithms in this order
+    assert ALGORITHM_NAMES == ("sf", "kmp", "l", "al", "hal", "hal2", "hal3",
+                               "hal4", "hal5", "nhal")
+
+
 def test_resolve_algorithm_rejects_unknown_names():
     with pytest.raises(ValueError):
         resolve_algorithm("boyer")

@@ -20,6 +20,7 @@ It exits 1 if any mutant survived, 2 if the unmutated copy fails.
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -62,6 +63,11 @@ MUTANTS = {
         "tables.py", "large + m - 1)", "large + m)"),
     "next-mismatch-rule": (
         "tables.py", "shifts.append(shifts[t])", "shifts.append(t)"),
+    "hal-variant-scheme": (
+        "search.py", "_HAL[name] or scheme", "scheme or _HAL[name]"),
+    "bind-explicit-scheme": (
+        "counting.py", "scheme or default_scheme_for(text)",
+        "default_scheme_for(text)"),
 }
 
 
@@ -128,4 +134,7 @@ def main(names):
 
 
 if __name__ == "__main__":
+    # exit on SIGTERM as on an exception, so `subprocess.run` kills the
+    # pytest child and the temporary copy is removed
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     sys.exit(main(sys.argv[1:]))
