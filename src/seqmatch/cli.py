@@ -8,6 +8,7 @@ invocations reproduce identical plans, corpora, and counted reports.
 import argparse
 import random
 import sys
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -48,6 +49,9 @@ def parse_sizes(spec):
     return sizes
 
 
+# built on the first call, not at import; parse_args neither mutates the
+# parser nor reuses a Namespace, so one parser serves every call
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="seqmatch",

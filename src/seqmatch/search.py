@@ -16,7 +16,11 @@ searches; its loop adds the skew back.
 
 Conventions, applied once in front of every random-access search:
 empty patterns match at offset 0; texts shorter than the pattern report
-not-found; size-1 patterns take ``l``'s forward scan.  Wherever a search
+not-found; size-1 patterns take ``l``'s forward scan; a text or pattern
+without ``len``, such as an iterator or a file, raises ``ValueError``
+(``search_l`` takes those, and ``dispatch_search`` hands it such a
+text).  Every not-found outcome is one shared ``SearchOutcome(None)``,
+safe to share because outcomes are frozen.  Wherever a search
 iterates a text or pattern, an mmap is read as int items, like bytes,
 and a file in chunks, as bytes or characters (``schemes._items``).
 Searches never mutate their inputs and may run concurrently, except
@@ -62,19 +66,30 @@ def naive_search(text, pattern):
     return SearchOutcome(None)
 
 
+# every not-found result: frozen, so one instance serves every call
+_ABSENT = SearchOutcome(None)
+
+
 def _search(search, text, pattern, arg):
     # The one entry of every random-access search: it applies the
     # conventions, so `search(text, pattern, n, m, arg)` runs with
     # 2 <= m <= n and returns the offset or None.
-    n = len(text)
-    m = len(pattern)
+    try:
+        n = len(text)
+        m = len(pattern)
+    except TypeError:
+        raise ValueError("random-access searches need a text and pattern "
+                         "with len(); search_l takes iterators and files") \
+            from None
     if m == 0:
         return SearchOutcome(0)
     if n < m:
-        return SearchOutcome(None)
+        return _ABSENT
     if m == 1:
-        return SearchOutcome(_l(text, pattern, None))
-    return SearchOutcome(search(text, pattern, n, m, arg))
+        k = _l(text, pattern, None)
+    else:
+        k = search(text, pattern, n, m, arg)
+    return _ABSENT if k is None else SearchOutcome(k)
 
 
 def _sf(text, pattern, n, m, _):
@@ -182,7 +197,8 @@ def search_l(text, pattern):
     positions = list(_items(pattern))
     if not positions:
         return SearchOutcome(0)
-    return SearchOutcome(_l(text, positions, compute_next(positions)))
+    k = _l(text, positions, compute_next(positions))
+    return _ABSENT if k is None else SearchOutcome(k)
 
 
 def _skip_scan(text, pattern, n, m, shifts, skip, advance, mismatch_shift,

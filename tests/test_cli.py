@@ -1,8 +1,12 @@
+import argparse
 import gc
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from seqmatch import cli, dispatch_search
 from seqmatch.cli import decode_pattern, main, parse_sizes
 
 CORPUS_LINE = (b"Now's the time for all good men and women to come to the "
@@ -98,6 +102,52 @@ def test_find_usage_errors(corpus_file):
     assert main(["find", "--text", "/nonexistent", "--pattern", "x"]) == 2
     with pytest.raises(SystemExit):
         main(["find"])  # missing required --text
+
+
+def test_find_builds_its_parser_once(corpus_file, monkeypatch, capsys):
+    argv = ["find", "--text", corpus_file, "--pattern", "time"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == []
+    assert capsys.readouterr().out.split() == ["10", "10"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main() call, not at import
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(init(self, *a, **k))\n"
+            "import seqmatch.cli\n"
+            "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "0"
+
+
+def test_find_calls_share_no_arguments(corpus_file, monkeypatch, capsys):
+    argv = ["find", "--text", corpus_file, "--pattern", "women"]
+    assert main(argv + ["--algo", "hal", "--scheme", "dna4"]) == 0
+    with pytest.raises(SystemExit) as usage_error:
+        main(argv + ["--algo"])  # the option without its value
+    assert usage_error.value.code == 2
+    schemes = []
+
+    def dispatch_spy(text, pattern, scheme=None):
+        schemes.append(scheme)
+        return dispatch_search(text, pattern, scheme=scheme)
+    monkeypatch.setattr(cli, "dispatch_search", dispatch_spy)
+    assert main(argv) == 0
+    assert schemes == [None]
+    assert capsys.readouterr().out.split() == ["36", "36"]
 
 
 def test_validation_precedes_io(capsys):

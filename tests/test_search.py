@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import mmap
 import random
 from array import array
@@ -7,10 +9,10 @@ from oracles import naive_find
 
 from seqmatch import search
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, HashScheme,
-                      ReusableSkipTable, dispatch_search, naive_search,
-                      random16_text, resolve_algorithm, run_counted,
-                      search_al, search_hal, search_kmp_basic, search_l,
-                      search_nhal, search_sf)
+                      ReusableSkipTable, SearchOutcome, dispatch_search,
+                      naive_search, random16_text, resolve_algorithm,
+                      run_counted, search_al, search_hal, search_kmp_basic,
+                      search_l, search_nhal, search_sf)
 
 ALL = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
 
@@ -90,6 +92,35 @@ def test_search_l_accepts_one_shot_iterators():
     assert search_l(iter(b""), b"a").position is None
     assert search_l(iter(text), iter(b"fox")).position == 16
     assert search_l(b"abc", iter(())).position == 0
+
+
+def test_sized_searches_name_search_l_for_one_shot_inputs():
+    text = b"xx panic"
+    table = ReusableSkipTable()
+    searches = [fn for name, fn in ALL if name not in ("l", "nhal")]
+    searches += [lambda t, p: search_nhal(t, p, table), dispatch_search]
+    for fn in searches:
+        for pattern in (io.BytesIO(b"panic"), iter(b"panic")):
+            with pytest.raises(ValueError, match="search_l"):
+                fn(text, pattern)
+    with pytest.raises(ValueError, match="search_l"):
+        search_hal(iter(text), b"panic")
+    assert all(v == 0 for v in table.slots)
+
+
+def test_not_found_outcomes_are_one_frozen_value():
+    # ALL includes search_l as "l"
+    for name, fn in ALL + [("dispatch", dispatch_search)]:
+        # a text shorter than the pattern, a size-1 miss and a full miss
+        for text, pattern in ((b"ab", b"abc"), (b"abc", b"z"),
+                              (b"abcabc", b"abd")):
+            outcome = fn(text, pattern)
+            assert outcome == SearchOutcome(None), name
+            assert hash(outcome) == hash(SearchOutcome(None))
+            assert outcome.found is False
+            assert repr(outcome) == "SearchOutcome(position=None)"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.position = 0
 
 
 def test_str_inputs_work_everywhere():

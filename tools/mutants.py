@@ -68,6 +68,10 @@ MUTANTS = {
     "bind-explicit-scheme": (
         "counting.py", "scheme or default_scheme_for(text)",
         "default_scheme_for(text)"),
+    "parser-per-call": (
+        "cli.py", "@cache\ndef _build_parser", "def _build_parser"),
+    "outcome-mutable": (
+        "search.py", "@dataclass(frozen=True)", "@dataclass"),
 }
 
 
