@@ -10,9 +10,9 @@ loop that advances the alignment by occurrence-table lookups, probing
 one hashed window per stop instead of comparing elements.  That loop
 is always the callable ``advance(text, skip, pos, n)`` that the
 scheme's ``probe(text)`` returns.  ``nhal`` drops the hash in favor of
-a full 16-bit-alphabet table whose entries are skewed so that zero
-means "default shift", letting one zero-filled table be reused across
-searches; its loop adds the skew back.
+a full 16-bit-alphabet table, skewed so that zero means "default
+shift" and one zero-filled table serves many searches.  Every skip
+table, hashed or not, comes from one builder, ``tables._fill_skip``.
 
 Conventions, applied once in front of every random-access search:
 empty patterns match at offset 0; texts shorter than the pattern report
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, _items, default_scheme_for
-from .tables import compute_next, compute_skip
+from .tables import _fill_skip, compute_next, compute_skip
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,17 @@ def search_l(text, pattern):
     return _ABSENT if k is None else SearchOutcome(k)
 
 
-def _skip_scan(text, pattern, n, m, shifts, skip, advance, mismatch_shift,
-               adjustment):
+def _skip_scan(text, pattern, n, m, shifts, table, advance):
     # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
-    # 2 <= m <= n and the pattern's failure links `shifts`.  `advance` is
-    # the whole skip loop, as a scheme's probe(text) returns it: called
-    # once per entry, it runs `while pos < n: pos += skip[<probe>]`, so a
-    # pos at or past n comes back unchanged and unread.  The tail slot
-    # holds a `large` above n, so only a tail hit stops the loop at n + m
-    # or beyond, and `adjustment` takes it back to its alignment.
+    # 2 <= m <= n, the pattern's failure links `shifts` and its
+    # `SkipTable`, built for a text size of at least n.  `advance` is the
+    # whole skip loop, as a scheme's probe(text) returns it: called once
+    # per entry, it runs `while pos < n: pos += skip[<probe>]`, so a pos
+    # at or past n comes back unchanged and unread.  Only a tail hit
+    # stops the loop at n + m or beyond.
+    skip = table.shifts
+    mismatch_shift = table.mismatch_shift
+    adjustment = table.adjustment
     first = pattern[0]
     k = 0
     while True:
@@ -269,9 +271,8 @@ def _hal_over(tables):
             # scheme cannot cover a probe window; use the forward search
             return _l(text, pattern, compute_next(pattern))
         shifts, table = tables(pattern, scheme, n.bit_length())
-        return _skip_scan(text, pattern, n, m, shifts, table.shifts,
-                          scheme.probe(text), table.mismatch_shift,
-                          table.adjustment)
+        return _skip_scan(text, pattern, n, m, shifts, table,
+                          scheme.probe(text))
     return hal
 
 
@@ -305,11 +306,11 @@ def search_al(text, pattern):
 class ReusableSkipTable:
     """Full 16-bit-alphabet shift storage, zero-filled between searches.
 
-    During a search, entries are stored skewed by ``-(m - s + 1)`` so a
-    zero denotes the default shift; every entry the search wrote is
-    restored to zero before it returns.  One instance can therefore be
-    reused indefinitely, paying the 65536-slot initialization once.
-    One search at a time per instance.
+    A search fills it through ``tables._fill_skip`` with a skew of
+    ``m``, the default shift, so a zero slot reads as that default; every
+    slot the search wrote is zeroed again before it returns.  One
+    instance can therefore be reused indefinitely, paying the
+    65536-slot initialization once.  One search at a time per instance.
     """
 
     size = 1 << 16
@@ -327,14 +328,8 @@ def _nhal(text, pattern, n, m, table):
             pos += skip[text[pos]] + skew
         return pos
     try:
-        for j in range(m - 1):
-            slots[pattern[j]] = m - 1 - j - skew
-        tail = pattern[m - 1]
-        mismatch_shift = slots[tail] + skew
-        large = n + 1
-        slots[tail] = large - skew
-        return _skip_scan(text, pattern, n, m, compute_next(pattern), slots,
-                          advance, mismatch_shift, large + m - 1)
+        return _skip_scan(text, pattern, n, m, compute_next(pattern),
+                          _fill_skip(slots, pattern, m, skew, n), advance)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all

@@ -52,11 +52,9 @@ class SkipTable:
     """Hash-indexed shift table plus its derived constants.
 
     ``shifts[h]`` says how far the alignment may advance when the
-    probed window hashes to ``h``.  The entry for the pattern's tail
-    window is replaced by ``large`` (text size + 1, big enough to force
-    the scan loop past its single exit test); ``adjustment``, which is
-    ``large + m - 1``, undoes that after the loop, and ``mismatch_shift``
-    keeps the tail entry's value from before the substitution.
+    probed window hashes to ``h``.  ``_fill_skip`` writes every entry,
+    ``mismatch_shift`` and ``adjustment``; the skip loop that reads
+    them is ``search._skip_scan``.
     """
 
     shifts: list
@@ -64,15 +62,29 @@ class SkipTable:
     adjustment: int
 
 
+def _fill_skip(slots, hashes, m, skew, text_size):
+    # The one skip-table rule, for hal's table and nhal's reusable one.
+    # `hashes` are the pattern's window hashes, tail last; each slot
+    # holds its value less `skew`.  The tail slot's `large` exceeds
+    # every text position, so only a tail hit stops the skip loop.
+    last = len(hashes) - 1
+    for i in range(last):
+        slots[hashes[i]] = last - i - skew
+    tail = hashes[last]
+    mismatch_shift = slots[tail] + skew
+    large = text_size + 1
+    slots[tail] = large - skew
+    return SkipTable(slots, mismatch_shift, large + m - 1)
+
+
 # signature kept: perfbench's traced run times this call directly
 def compute_skip(pattern, scheme, text_size):
     """Build the skip table for ``pattern`` under ``scheme``.
 
     Every hash bucket starts at the default shift ``m - s + 1`` (with
-    ``s = scheme.suffix_size``); windows ending at pattern positions
-    ``s-1 .. m-2`` lower their bucket to ``m - 1 - j``, latest position
-    winning.  The tail bucket's value becomes ``mismatch_shift`` and is
-    then overwritten with ``large = text_size + 1``.
+    ``s = scheme.suffix_size``); ``_fill_skip`` then writes the buckets
+    of the windows ending at pattern positions ``s-1 .. m-1``, with no
+    skew, for texts of up to ``text_size`` elements.
     """
     m = len(pattern)
     if m == 0:
@@ -85,10 +97,5 @@ def compute_skip(pattern, scheme, text_size):
     # j + 1 + hash(pattern, j)
     advance = scheme.probe(pattern)
     ones = range(1, scheme.hash_range_max + 1)
-    for j in range(s - 1, m - 1):
-        shifts[advance(pattern, ones, j, j + 1) - j - 1] = m - 1 - j
-    tail = advance(pattern, ones, m - 1, m) - m
-    mismatch_shift = shifts[tail]
-    large = text_size + 1
-    shifts[tail] = large
-    return SkipTable(shifts, mismatch_shift, large + m - 1)
+    keys = [advance(pattern, ones, j, j + 1) - j - 1 for j in range(s - 1, m)]
+    return _fill_skip(shifts, keys, m, 0, text_size)

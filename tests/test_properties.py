@@ -5,6 +5,7 @@ import mmap
 import tempfile
 from array import array
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import naive_find, next_oracle
@@ -73,6 +74,38 @@ def test_every_shift_sum_loop_matches_the_oracle(case):
                 for scheme in _SHIFT_SUMS:
                     assert search_hal(t, p, scheme).position == want, \
                         (type(t), scheme.shifts)
+
+
+# typecode -> a one-to-one map of byte values: B, H and both views stay
+# in nhal's 16-bit domain, b and h reach below zero, i and q lie wholly
+# outside it
+_BUFFERS = {
+    "b": lambda b: array("b", [v - 128 for v in b]),
+    "B": lambda b: array("B", b),
+    "h": lambda b: array("h", [v * 257 - 32768 for v in b]),
+    "H": lambda b: array("H", [v * 257 for v in b]),
+    "i": lambda b: array("i", [v * 65537 - (1 << 24) for v in b]),
+    "q": lambda b: array("q", [(v + 1) << 40 for v in b]),
+    "view-B": memoryview,
+    "view-H": lambda b: memoryview(
+        array("H", [v + 256 for v in b]).tobytes()).cast("H"),
+}
+
+
+@given(search_case())
+def test_every_search_over_arrays_and_memoryviews(case):
+    text, pattern = case
+    want = naive_find(text, pattern)
+    for kind, convert in _BUFFERS.items():
+        t, p = convert(text), convert(pattern)
+        for name, fn in _ALGOS + [("dispatch", dispatch_search)]:
+            if name == "nhal" and not all(0 <= v < 1 << 16 for v in p):
+                with pytest.raises(ValueError):
+                    fn(t, p)
+            else:
+                # a text symbol in [-2**16, 0) indexes nhal's table from
+                # its end: a collision, which the skip loop tolerates
+                assert fn(t, p).position == want, (kind, name)
 
 
 @given(search_case())

@@ -4,8 +4,9 @@ import random
 import pytest
 from oracles import mismatch_oracle, next_oracle, skip_oracle_identity
 
-from seqmatch import (BYTE, DNA4, EmptyPattern, SuffixTooLong, compute_next,
-                      compute_skip)
+from seqmatch import (BYTE, DNA4, EmptyPattern, ShiftSumScheme, SuffixTooLong,
+                      compute_next, compute_skip)
+from seqmatch.tables import _fill_skip
 
 
 @pytest.mark.parametrize("pattern, expected", [
@@ -107,3 +108,22 @@ def test_skip_rejects_bad_inputs():
         compute_skip(b"", BYTE, 10)
     with pytest.raises(SuffixTooLong):
         compute_skip(b"acg", DNA4, 10)
+
+
+def test_nhal_table_is_hal_table_skewed_by_m():
+    # nhal fills its zeroed reusable storage through the builder with
+    # skew m; adding m back gives hal's table over the whole 16-bit range
+    wide = ShiftSumScheme((0,), 65535)
+    rng = random.Random(15)
+    for _ in range(200):
+        m = rng.randint(2, 30)
+        # few symbols, so many repeat; half of them above 255
+        alphabet = (rng.sample(range(256), 3)
+                    + rng.sample(range(256, 1 << 16), 3))
+        pattern = rng.choices(alphabet, k=m)
+        n = rng.randint(m, 5000)
+        skewed = _fill_skip([0] * (1 << 16), pattern, m, m, n)
+        table = compute_skip(pattern, wide, n)
+        assert [v + m for v in skewed.shifts] == table.shifts
+        assert skewed.mismatch_shift == table.mismatch_shift
+        assert skewed.adjustment == table.adjustment

@@ -56,11 +56,13 @@ MUTANTS = {
     "byte-loop-mask-127": (
         "schemes.py", "mask & 255 == 255", "mask & 127 == 127"),
     "skip-window-range": (
-        "tables.py", "range(s - 1, m - 1)", "range(s, m - 1)"),
+        "tables.py", "range(s - 1, m)", "range(s, m)"),
     "skip-default-shift": (
         "tables.py", "[m - s + 1]", "[m - s + 2]"),
     "skip-adjustment": (
         "tables.py", "large + m - 1)", "large + m)"),
+    "fill-skew": (
+        "tables.py", "slots[tail] + skew", "slots[tail]"),
     "next-mismatch-rule": (
         "tables.py", "shifts.append(shifts[t])", "shifts.append(t)"),
     "hal-variant-scheme": (
