@@ -23,16 +23,18 @@ text).  Every not-found outcome is one shared ``SearchOutcome(None)``,
 safe to share because outcomes are frozen.  Wherever a search
 iterates a text or pattern, an mmap is read as int items, like bytes,
 and a file in chunks, as bytes or characters (``schemes._items``).
-Searches never mutate their inputs and may run concurrently, except
-that one ``ReusableSkipTable`` serves one search at a time.  Every
-hashed search builds its tables for the text's power-of-two size class,
-so ``dispatch_search`` can keep those of bytes and str patterns in a
-``functools.lru_cache``, safe to share: its tables are never written
-after they are built.
+Searches never mutate their inputs and may run concurrently, sharing
+any ``ReusableSkipTable``: a search that finds its table busy uses a
+fresh one, and ``search_nhal`` calls that pass no table share one
+process-wide table.  Every hashed search builds its tables for the
+text's power-of-two size class, so ``dispatch_search`` can keep those
+of bytes and str patterns in a ``functools.lru_cache``, safe to share:
+its tables are never written after they are built.
 """
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, _items, default_scheme_for
 from .tables import _fill_skip, compute_next, compute_skip
@@ -310,16 +312,22 @@ class ReusableSkipTable:
     ``m``, the default shift, so a zero slot reads as that default; every
     slot the search wrote is zeroed again before it returns.  One
     instance can therefore be reused indefinitely, paying the
-    65536-slot initialization once.  One search at a time per instance.
+    65536-slot initialization once.  Any number of threads may share
+    one: a search holds ``lock`` while it uses the slots, and a search
+    that finds the lock held uses a fresh table of its own instead.
     """
 
     size = 1 << 16
 
     def __init__(self):
         self.slots = [0] * self.size
+        self.lock = threading.Lock()
 
 
 def _nhal(text, pattern, n, m, table):
+    if not table.lock.acquire(blocking=False):
+        table = ReusableSkipTable()  # busy: search a private table
+        table.lock.acquire()
     slots = table.slots
     skew = m  # suffix size 1, so the default shift is m - 1 + 1
 
@@ -338,18 +346,26 @@ def _nhal(text, pattern, n, m, table):
     finally:
         for j in range(m):
             slots[pattern[j]] = 0
+        table.lock.release()
+
+
+# built on the first search_nhal call that passes no table, not at import
+@cache
+def _process_table():
+    return ReusableSkipTable()
 
 
 def search_nhal(text, pattern, table=None):
     """Non-hashed skip-loop search for integer symbols below 2**16.
 
-    ``table`` is the reusable skewed storage; pass one explicitly to
-    amortize its initialization across searches (a fresh table is made
-    when omitted).  The table is restored to all zeros on every exit
-    path, so consecutive searches never see each other's entries.
+    ``table`` is the reusable skewed storage; calls that pass none share
+    one process-wide table, built on the first such call.  Any table may
+    be shared between threads: a search that finds it busy uses a fresh
+    one.  The table is restored to all zeros on every exit path, so
+    consecutive searches never see each other's entries.
     """
     if table is None:
-        table = ReusableSkipTable()
+        table = _process_table()
     if not all(isinstance(s, int) and 0 <= s < table.size
                for s in _items(pattern)):
         raise ValueError("pattern symbols must be integers in the table's "
@@ -376,26 +392,25 @@ def dispatch_search(text, pattern, scheme=None):
     return _search(hal, text, pattern, scheme)
 
 
-_PLAIN = {"sf": search_sf, "kmp": search_kmp_basic, "l": search_l,
-          "al": search_al}
 _HAL = {"hal": None, "hal2": DNA2, "hal3": DNA3, "hal4": DNA4, "hal5": DNA5}
+# every name, in report order; hal and its variants bind a scheme (_HAL)
+_SEARCHES = {"sf": search_sf, "kmp": search_kmp_basic, "l": search_l,
+             "al": search_al, **dict.fromkeys(_HAL), "nhal": search_nhal}
 
-ALGORITHM_NAMES = (*_PLAIN, *_HAL, "nhal")
+ALGORITHM_NAMES = tuple(_SEARCHES)
 
 
 def resolve_algorithm(name, scheme=None):
     """Bind an algorithm name to a ``(text, pattern) -> SearchOutcome``
     callable.
 
-    ``scheme`` only affects "hal"; hal2..hal5 carry fixed DNA schemes,
-    and "nhal" reuses one table of its own across calls.
+    ``scheme`` only affects "hal"; hal2..hal5 carry fixed DNA schemes.
+    Every other name binds its search function itself: "nhal" gives
+    ``search_nhal``, whose calls share the process-wide table.
     """
-    if name in _PLAIN:
-        return _PLAIN[name]
     if name in _HAL:
         scheme = _HAL[name] or scheme
         return lambda text, pattern: search_hal(text, pattern, scheme)
-    if name == "nhal":
-        table = ReusableSkipTable()
-        return lambda text, pattern: search_nhal(text, pattern, table)
+    if name in _SEARCHES:
+        return _SEARCHES[name]
     raise ValueError(f"unknown algorithm {name!r}")

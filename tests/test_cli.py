@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from seqmatch import cli, dispatch_search
+from seqmatch import (SearchOutcome, cli, counting, dispatch_search,
+                      resolve_algorithm)
 from seqmatch.cli import decode_pattern, main, parse_sizes
 
 CORPUS_LINE = (b"Now's the time for all good men and women to come to the "
@@ -224,6 +225,46 @@ def test_bench_random16_with_nhal(tmp_path):
                "--no-timing", "--out", str(out)])
     assert rc == 0
     assert "nhal" in out.read_text()
+
+
+def _lying(name):
+    # `resolve_algorithm`, except that `name` reports every match one
+    # position late
+    def resolve(algorithm, scheme=None):
+        search = resolve_algorithm(algorithm, scheme)
+        if algorithm != name:
+            return search
+
+        def lie(text, pattern):
+            k = search(text, pattern).position
+            return SearchOutcome(None if k is None else k + 1)
+        return lie
+    return resolve
+
+
+@pytest.mark.parametrize("command", ["bench", "count"])
+def test_bench_and_count_report_a_failed_cross_check(command, tmp_path,
+                                                      monkeypatch, capsys):
+    # bench and count bind their searches through counting's registry
+    monkeypatch.setattr(counting, "resolve_algorithm", _lying("hal"))
+    out = tmp_path / "report.tsv"
+    args = [command, "--kind", "text", "--size", "3000", "--sizes", "4",
+            "--tests", "2", "--algos", "sf,hal", "--out", str(out)]
+    assert main(args + (["--no-timing"] if command == "bench" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cross-check failed: algorithm 'hal' returned ")
+    assert not out.exists()
+
+
+def test_selftest_reports_a_lying_search(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "resolve_algorithm", _lying("kmp"))
+    assert main(["selftest", "--fuzz", "50", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert "FAIL kmp on pattern b'time': expected 10, got 11" in failed
+    # the fuzz loop stops at its first case once a check has failed
+    assert sum("fuzz case" in line for line in failed) <= 1
+    assert lines[-1] == "selftest FAILED"
 
 
 def test_bench_with_dictionary(tmp_path, capsys):

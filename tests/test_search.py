@@ -2,6 +2,8 @@ import dataclasses
 import io
 import mmap
 import random
+import subprocess
+import sys
 from array import array
 
 import pytest
@@ -192,6 +194,49 @@ def test_nhal_restores_on_not_found():
     assert all(v == 0 for v in table.slots)
 
 
+def test_nhal_leaves_a_busy_table_alone():
+    # as if another search held the table: its lock taken, its pattern's
+    # entries written, among them symbols of this search's pattern
+    table = ReusableSkipTable()
+    text = random16_text(4000, seed=13)
+    pattern = text[3000:3012]
+    other = text[3004:3010]
+    assert table.lock.acquire(blocking=False)
+    try:
+        for j, symbol in enumerate(other):
+            table.slots[symbol] = 100 + j
+        held = list(table.slots)
+        assert search_nhal(text, pattern, table).position == \
+            naive_find(text, pattern)
+        assert table.lock.locked()
+        assert table.slots == held
+    finally:
+        table.lock.release()
+
+
+def test_nhal_calls_without_a_table_share_one():
+    assert resolve_algorithm("nhal") is search_nhal
+    text = random16_text(4000, seed=14)
+    before = search._process_table.cache_info()
+    for pattern in (text[500:520], text[2000:2005]):
+        assert search_nhal(text, pattern).position == \
+            naive_find(text, pattern)
+    after = search._process_table.cache_info()
+    assert (after.hits + after.misses, after.currsize) == \
+        (before.hits + before.misses + 2, 1)
+    shared = search._process_table()
+    assert not shared.lock.locked()
+    assert not any(shared.slots)
+
+
+def test_importing_seqmatch_builds_no_nhal_table():
+    code = ("import seqmatch.search as s\n"
+            "print(s._process_table.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "0"
+
+
 def test_nhal_matches_hal_mod256_on_16bit_data():
     table = ReusableSkipTable()
     rng = random.Random(12)
@@ -261,7 +306,7 @@ def test_an_mmap_pattern_reads_as_int_symbols():
         pattern.write(b"abd")
         for name, fn in ALL:
             assert fn(text, pattern).position == 5, name
-        assert search_nhal(text, pattern).position == 5  # a fresh table
+        assert search_nhal(text, pattern).position == 5  # the process table
         assert dispatch_search(iter(text), pattern).position == 5
 
 
@@ -463,7 +508,7 @@ def test_searches_run_concurrently():
     for _ in range(12):
         start = rng.randrange(len(text) - 20)
         jobs.append(text[start:start + 20])
-    # one table per job: concurrent nhal calls need distinct tables
+    # one table per job; test_threads_share_nhal_tables shares one
     tables = [ReusableSkipTable() for _ in jobs]
 
     def run(i):
@@ -478,3 +523,33 @@ def test_searches_run_concurrently():
     for pattern, (a, b, c, d) in zip(jobs, results):
         want = naive_find(text, pattern)
         assert a == b == c == d == want
+
+
+def test_threads_share_nhal_tables():
+    # 4 threads through one explicit table, then through the resolved
+    # "nhal" search and its process-wide table; switching threads every
+    # microsecond interleaves their searches
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(53)
+    text = bytes(rng.choices(b"abcdefghij", k=200_000))
+    patterns = []
+    for m in range(4, 41):
+        for _ in range(2 if m <= 30 else 1):
+            start = rng.randrange(len(text) - m)
+            patterns.append(text[start:start + m])
+    want = [naive_find(text, p) for p in patterns]
+    table = ReusableSkipTable()
+    for fn in (lambda t, p: search_nhal(t, p, table),
+               resolve_algorithm("nhal")):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda p: fn(text, p).position, patterns,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(old)
+        assert got == want
+    assert not table.lock.locked()
+    assert not any(table.slots)

@@ -50,6 +50,11 @@ MUTANTS = {
         "type(pattern) in (bytes, bytearray, str)"),
     "nhal-skew": (
         "search.py", "skew = m  #", "skew = m + 1  #"),
+    "nhal-busy-ignored": (
+        "search.py", "if not table.lock.acquire(blocking=False):",
+        "if not table.lock.acquire(blocking=False) and False:"),
+    "nhal-no-release": (
+        "search.py", "        table.lock.release()\n", ""),
     "loop-bound": (
         "schemes.py", "def advance(text, skip, pos, n):\n    while pos < n:",
         "def advance(text, skip, pos, n):\n    while pos <= n:"),
