@@ -26,10 +26,13 @@ and a file in chunks, as bytes or characters (``schemes._items``).
 Searches never mutate their inputs and may run concurrently, sharing
 any ``ReusableSkipTable``: a search that finds its table busy uses a
 fresh one, and ``search_nhal`` calls that pass no table share one
-process-wide table.  Every hashed search builds its tables for the
-text's power-of-two size class, so ``dispatch_search`` can keep those
-of bytes and str patterns in a ``functools.lru_cache``, safe to share:
-its tables are never written after they are built.
+process-wide table.  Every hashed search binds its pattern, tables and
+skip loop into one finder for the text's type and power-of-two size
+class, so ``dispatch_search`` keeps the finders of bytes and str
+patterns, for texts whose exact type is bytes, bytearray or str, in a
+256-entry ``functools.lru_cache`` keyed by pattern, scheme, size class
+and text type.  Finders are safe to share: their tables are never
+written after they are built.
 """
 
 import threading
@@ -83,11 +86,11 @@ def _search(search, text, pattern, arg):
         raise ValueError("random-access searches need a text and pattern "
                          "with len(); search_l takes iterators and files") \
             from None
-    if m == 0:
-        return SearchOutcome(0)
-    if n < m:
-        return _ABSENT
-    if m == 1:
+    if n < m or m < 2:  # one test on the common path
+        if m == 0:
+            return SearchOutcome(0)
+        if n < m:
+            return _ABSENT
         k = _l(text, pattern, None)
     else:
         k = search(text, pattern, n, m, arg)
@@ -203,83 +206,87 @@ def search_l(text, pattern):
     return _ABSENT if k is None else SearchOutcome(k)
 
 
-def _skip_scan(text, pattern, n, m, shifts, table, advance):
-    # The one skip-loop search behind al, hal, hal2..hal5 and nhal; needs
-    # 2 <= m <= n, the pattern's failure links `shifts` and its
-    # `SkipTable`, built for a text size of at least n.  `advance` is the
-    # whole skip loop, as a scheme's probe(text) returns it: called once
-    # per entry, it runs `while pos < n: pos += skip[<probe>]`, so a pos
-    # at or past n comes back unchanged and unread.  Only a tail hit
-    # stops the loop at n + m or beyond.
-    skip = table.shifts
-    mismatch_shift = table.mismatch_shift
-    adjustment = table.adjustment
-    first = pattern[0]
-    k = 0
-    while True:
-        k = advance(text, skip, k + m - 1, n)
-        if k < n + m:
-            return None  # ran off the end without a tail match
-        k -= adjustment
-        if text[k] != first:
-            k += mismatch_shift
-            continue
-        j = 1
+def _skip_search(pattern, shifts, table, advance):
+    # The one skip-loop search behind al, hal, hal2..hal5, nhal and
+    # dispatch, as `find(text, n)` with 2 <= m <= n = len(text).  It is
+    # bound to the pattern, its failure links `shifts` and its
+    # `SkipTable`, built for a text size of at least n, as keyword
+    # defaults, which it reads as fast locals.  `advance` is the whole
+    # skip loop, as a scheme's probe(text) returns it: called once per
+    # entry, it runs `while pos < n: pos += skip[<probe>]`, so a pos at
+    # or past n comes back unchanged and unread.  Only a tail hit stops
+    # the loop at n + m or beyond.
+    def find(text, n, *, pattern=pattern, m=len(pattern), first=pattern[0],
+             shifts=shifts, skip=table.shifts,
+             mismatch_shift=table.mismatch_shift,
+             adjustment=table.adjustment, advance=advance):
+        k = 0
         while True:
-            k += 1
-            if text[k] != pattern[j]:
-                break
-            j += 1
-            if j == m:
-                return k - m + 1
-        if mismatch_shift > j:
-            k += mismatch_shift - j
-            continue
-        while True:  # recover through the failure links
-            j = shifts[j]
-            if j < 0:
+            k = advance(text, skip, k + m - 1, n)
+            if k < n + m:
+                return None  # ran off the end without a tail match
+            k -= adjustment
+            if text[k] != first:
+                k += mismatch_shift
+                continue
+            j = 1
+            while True:
                 k += 1
-                break
-            if j == 0:
-                break
-            while text[k] == pattern[j]:
-                k += 1
+                if text[k] != pattern[j]:
+                    break
                 j += 1
                 if j == m:
-                    return k - m
-                if k == n:
-                    return None
+                    return k - m + 1
+            if mismatch_shift > j:
+                k += mismatch_shift - j
+                continue
+            while True:  # recover through the failure links
+                j = shifts[j]
+                if j < 0:
+                    k += 1
+                    break
+                if j == 0:
+                    break
+                while text[k] == pattern[j]:
+                    k += 1
+                    j += 1
+                    if j == m:
+                        return k - m
+                    if k == n:
+                        return None
+    return find
 
 
-def _tables(pattern, scheme, size_bits):
-    # the skip loop's tables for texts of up to 2**size_bits - 1 elements:
-    # large = 2**size_bits exceeds each of them and stays <= 2n for a text
-    # of that size class, so tail hits keep small-int arithmetic
-    return (compute_next(pattern),
-            compute_skip(pattern, scheme, (1 << size_bits) - 1))
+def _bind(text, pattern, scheme, size_bits):
+    # The search of al, hal, hal2..hal5 and dispatch for `pattern` in texts
+    # like `text` of up to 2**size_bits - 1 elements, as `find(text, n)`:
+    # the skip-loop search, or the forward search where the scheme cannot
+    # cover a probe window.  The tail slot large = 2**size_bits exceeds
+    # every text of the size class and stays <= 2n, so tail hits keep
+    # small-int arithmetic.
+    if scheme is None:
+        scheme = default_scheme_for(text)
+    s = scheme.suffix_size
+    shifts = compute_next(pattern)
+    if s == 0 or len(pattern) < s:
+        return lambda text, n: _l(text, pattern, shifts)
+    return _skip_search(pattern, shifts,
+                        compute_skip(pattern, scheme, (1 << size_bits) - 1),
+                        scheme.probe(text))
 
 
-_cached_tables = lru_cache(maxsize=256)(_tables)
+def _hal(text, pattern, n, m, scheme):
+    return _bind(text, pattern, scheme, n.bit_length())(text, n)
 
 
-def _hal_over(tables):
-    # the search of al, hal, hal2..hal5 and dispatch, on the tables that
-    # `tables(pattern, scheme, size_bits)` returns
-    def hal(text, pattern, n, m, scheme):
-        if scheme is None:
-            scheme = default_scheme_for(text)
-        s = scheme.suffix_size
-        if s == 0 or m < s:
-            # scheme cannot cover a probe window; use the forward search
-            return _l(text, pattern, compute_next(pattern))
-        shifts, table = tables(pattern, scheme, n.bit_length())
-        return _skip_scan(text, pattern, n, m, shifts, table,
-                          scheme.probe(text))
-    return hal
+# the text types whose type alone decides default_scheme_for and probe
+_FINDER_TEXTS = (bytes, bytearray, str)
 
 
-_hal = _hal_over(_tables)
-_cached_hal = _hal_over(_cached_tables)
+# dispatch's finders, keyed by (pattern, scheme, size_bits, text type)
+@lru_cache(maxsize=256)
+def _cached_tables(pattern, scheme, size_bits, cls):
+    return _bind(cls(), pattern, scheme, size_bits)
 
 
 def search_hal(text, pattern, scheme=None):
@@ -336,8 +343,9 @@ def _nhal(text, pattern, n, m, table):
             pos += skip[text[pos]] + skew
         return pos
     try:
-        return _skip_scan(text, pattern, n, m, compute_next(pattern),
-                          _fill_skip(slots, pattern, m, skew, n), advance)
+        return _skip_search(pattern, compute_next(pattern),
+                            _fill_skip(slots, pattern, m, skew, n),
+                            advance)(text, n)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all
@@ -381,15 +389,24 @@ def dispatch_search(text, pattern, scheme=None):
     the default registered for the element type; anything merely
     iterable uses ``search_l``.  The zero sentinel scheme (and any
     pattern shorter than the scheme's window) lands back on the forward
-    search.  The tables of bytes and str patterns are cached, so many
-    texts searched for one pattern preprocess it once per power-of-two
-    text-size class.
+    search.  For bytes and str patterns in texts whose exact type is
+    bytes, bytearray or str, the bound search is cached, keyed by
+    pattern, scheme, power-of-two text-size class and text type, so many
+    texts searched for one pattern preprocess it once per class and
+    type; the cache holds at most 256 entries.  Other texts, such as
+    memoryviews, mmaps, arrays, lists and subclasses, build their tables
+    on every call.
     """
     cls = type(text)
+    if cls in _FINDER_TEXTS and type(pattern) in (bytes, str):
+        # one lookup and one scan; _search decides the edge cases
+        n = len(text)
+        if 2 <= len(pattern) <= n:
+            k = _cached_tables(pattern, scheme, n.bit_length(), cls)(text, n)
+            return _ABSENT if k is None else SearchOutcome(k)
     if not (hasattr(cls, "__len__") and hasattr(cls, "__getitem__")):
         return search_l(text, pattern)
-    hal = _cached_hal if type(pattern) in (bytes, str) else _hal
-    return _search(hal, text, pattern, scheme)
+    return _search(_hal, text, pattern, scheme)
 
 
 _HAL = {"hal": None, "hal2": DNA2, "hal3": DNA3, "hal4": DNA4, "hal5": DNA5}

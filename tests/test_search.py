@@ -390,7 +390,41 @@ def test_dispatch_cache_keeps_bytes_and_str_apart():
         assert dispatch_search(b"xxab", "ab").position is None
         assert dispatch_search("xxab", "ab").position == 2
         assert dispatch_search("xxab", b"ab").position is None
-    assert search._cached_tables.cache_info().currsize == 2
+    assert search._cached_tables.cache_info().currsize == 4
+
+
+def test_dispatch_cache_serves_each_entry_to_one_text_type():
+    # one bytes and one str pattern object over every kind of text, in
+    # shuffled order, in the size class [64, 128) and both its neighbours:
+    # an entry built for one text type must never serve another
+    class Bytes(bytes):
+        pass
+
+    search._cached_tables.cache_clear()
+    rng = random.Random(17)
+    patterns = [b"cabad", "cabad"]
+    maps, jobs = [], []
+    for n in (50, 64, 100, 127, 128, 200):
+        raw = bytes(rng.choices(b"abcd", k=n))
+        if n % 2 == 0:
+            at = rng.randrange(n - 4)
+            raw = raw[:at] + b"cabad" + raw[at + 5:]
+        mapped = mmap.mmap(-1, n)
+        mapped.write(raw)
+        maps.append(mapped)
+        texts = [raw, bytearray(raw), raw.decode("ascii"), Bytes(raw),
+                 memoryview(raw), array("B", raw), array("H", list(raw)),
+                 mapped, list(raw)]
+        jobs += [(text, pattern) for text in texts for pattern in patterns]
+    rng.shuffle(jobs)
+    try:
+        for text, pattern in jobs:
+            want = naive_find(list(text[:]), list(pattern))
+            assert dispatch_search(text, pattern).position == want, \
+                (type(text), len(text), pattern)
+    finally:
+        for mapped in maps:
+            mapped.close()
 
 
 def test_dispatch_sees_a_mutated_bytearray_pattern():
@@ -415,7 +449,7 @@ def test_dispatch_cache_serves_one_entry_per_text_size_class():
     assert cached.cache_info().misses == 2
     # the tail slot exceeds every text of the class [128, 256) but stays
     # <= 2n, so tail hits keep small-int arithmetic
-    assert cached(pattern, BYTE, 8)[1].shifts[pattern[-1]] == 256
+    assert cached(pattern, BYTE, 8, bytes).__kwdefaults__["skip"][pattern[-1]] == 256
 
 
 def test_dispatch_cache_stays_within_its_bound():

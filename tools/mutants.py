@@ -48,6 +48,18 @@ MUTANTS = {
     "cache-bytearray-patterns": (
         "search.py", "type(pattern) in (bytes, str)",
         "type(pattern) in (bytes, bytearray, str)"),
+    "finder-key-type": (
+        "search.py", "n.bit_length(), cls)", "n.bit_length(), bytes)"),
+    "finder-range": (
+        "search.py", "if 2 <= len(pattern) <= n:",
+        "if 1 <= len(pattern) <= n:"),
+    "finder-types": (
+        "search.py", "_FINDER_TEXTS = (bytes, bytearray, str)",
+        "_FINDER_TEXTS = (bytes, bytearray, str, memoryview)"),
+    "bind-forward-rule": (
+        "search.py", "if s == 0 or len(pattern) < s:", "if s == 0:"),
+    "edge-size-one": (
+        "search.py", "if n < m or m < 2:", "if n < m or m < 1:"),
     "nhal-skew": (
         "search.py", "skew = m  #", "skew = m + 1  #"),
     "nhal-busy-ignored": (
