@@ -12,21 +12,13 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .bench import run_bench, run_counts
-from .corpus import CORPUS_KINDS, build_pattern_plan, load_corpus, \
-    parse_test_cases, read_test_cases
+from .bench import DUMMY, run_bench, run_counts
+from .corpus import CORPUS_KINDS, _KINDS, build_pattern_plan, load_corpus, \
+    parse_test_cases
 from .errors import CorrectnessMismatch, TestFileError
 from .schemes import SCHEMES
 from .search import ALGORITHM_NAMES, dispatch_search, naive_search, \
     resolve_algorithm
-
-DEFAULT_SIZES = {
-    "text": "2,4,6,8,10,14,18",
-    "words": "2,4,6,8",
-    "dna": "20,50,100,150,200",
-    "random16": "2,4,6,8,10,14,18",
-}
-
 
 def decode_pattern(text):
     """Turn backslash escapes (\\xNN, \\n, ...) into raw bytes so binary
@@ -106,6 +98,7 @@ def _fail(message):
 
 
 def _validate_names(algos, scheme):
+    """Check the names; return the scheme that ``scheme`` names, or None."""
     for name in algos:
         if name not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {name!r} "
@@ -113,16 +106,16 @@ def _validate_names(algos, scheme):
     if scheme is not None and scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} "
                          f"(choose from {', '.join(SCHEMES)})")
+    return SCHEMES.get(scheme)
 
 
 def cmd_find(args):
     try:
-        _validate_names([args.algo] if args.algo else [], args.scheme)
+        scheme = _validate_names([args.algo] if args.algo else [], args.scheme)
         if (args.pattern is None) == (args.pattern_file is None):
             raise ValueError("give exactly one of --pattern/--pattern-file")
     except ValueError as exc:
         return _fail(exc)
-    scheme = SCHEMES[args.scheme] if args.scheme else None
     try:
         if args.pattern is not None:
             pattern = decode_pattern(args.pattern)
@@ -146,7 +139,7 @@ def cmd_find(args):
 
 def _echo_summary(report):
     for row in report.rows:
-        if row.algorithm == "dummy":
+        if row.algorithm == DUMMY:
             continue
         line = (f"{row.corpus} m={row.pattern_size:<4d} {row.algorithm:<5s} "
                 f"searched {row.total_elements} elements")
@@ -162,8 +155,9 @@ def cmd_bench(args):
     """``bench`` and ``count``: one plan, one harness, one TSV report."""
     try:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-        _validate_names(algos, args.scheme)
-        sizes = parse_sizes(args.sizes or DEFAULT_SIZES[args.kind])
+        scheme = _validate_names(algos, args.scheme)
+        sizes = (parse_sizes(args.sizes) if args.sizes else
+                 _KINDS[args.kind].pattern_sizes)
         corpus = load_corpus(args.kind, path=args.corpus, size=args.size,
                              seed=args.seed)
         dictionary = (load_corpus("words", path=args.dict_path)
@@ -171,7 +165,6 @@ def cmd_bench(args):
         plan = build_pattern_plan(corpus, sizes, args.tests, dictionary)
     except (ValueError, OSError) as exc:
         return _fail(exc)
-    scheme = SCHEMES[args.scheme] if args.scheme else None
     try:
         if args.command == "count":
             report = run_counts(corpus, plan, algos, corpus_name=args.kind,
@@ -222,11 +215,9 @@ def _disagrees(fns, text, pattern, label):
 
 def cmd_selftest(args):
     try:
-        if args.file:
-            cases = read_test_cases(args.file)
-        else:
-            data = resources.files("seqmatch").joinpath("data/small.txt")
-            cases = parse_test_cases(data.read_bytes())
+        source = (Path(args.file) if args.file else
+                  resources.files("seqmatch").joinpath("data/small.txt"))
+        cases = parse_test_cases(source.read_bytes())
     except (TestFileError, OSError) as exc:
         print(f"selftest error: {exc}", file=sys.stderr)
         return 1

@@ -8,15 +8,11 @@ uniform 16-bit symbol streams.
 
 import random
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TestFileError
-
-CORPUS_KINDS = ("text", "dna", "words", "random16")
-
-DEFAULT_SIZES = {"text": 160_000, "dna": 600_000, "random16": 100_000,
-                 "words": 160_000}
 
 
 @dataclass(frozen=True)
@@ -87,43 +83,51 @@ def dna_text(size, seed=0):
 
 
 def random16_text(size, seed=0):
-    """Uniform 16-bit symbols as an array('H')."""
-    rng = random.Random(seed)
+    """Uniform 16-bit symbols as an array('H'): the random16 corpus."""
+    return load_corpus("random16", size=size, seed=seed)
+
+
+def _symbols16(raw):
+    # little-endian 16-bit symbols; an odd last byte is dropped
     data = array("H")
-    data.frombytes(rng.randbytes(2 * size))
+    data.frombytes(raw[:len(raw) - (len(raw) % 2)])
     return data
+
+
+# each corpus kind: `generate(size, seed)` gives raw bytes, `decode` turns
+# raw bytes, generated or read from a file, into the corpus's elements;
+# `size` and `pattern_sizes` are the defaults of the harnesses
+_Kind = namedtuple("_Kind", "generate decode size pattern_sizes")
+_KINDS = {
+    "text": _Kind(english_like_text, bytes, 160_000, (2, 4, 6, 8, 10, 14, 18)),
+    "dna": _Kind(dna_text, bytes, 600_000, (20, 50, 100, 150, 200)),
+    "words": _Kind(english_like_text, bytes.split, 160_000, (2, 4, 6, 8)),
+    "random16": _Kind(lambda n, seed: random.Random(seed).randbytes(2 * n),
+                      _symbols16, 100_000, (2, 4, 6, 8, 10, 14, 18)),
+}
+CORPUS_KINDS = tuple(_KINDS)
 
 
 def load_corpus(kind, path=None, size=None, seed=0):
     """Element sequence for a corpus kind.
 
-    With a ``path``, text/dna load raw bytes, words loads
-    whitespace-separated byte words, and random16 loads little-endian
+    With a ``path``, the file's raw bytes are decoded as the kind's
+    generated bytes are: text/dna keep the bytes, words splits them into
+    whitespace-separated byte words, and random16 reads little-endian
     16-bit symbols.  Without one, a seeded synthetic corpus of ``size``
-    elements (kind-specific default) is generated.
+    elements (for words, ``size`` bytes of text; kind-specific default)
+    is generated.
     """
-    if kind not in CORPUS_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}")
-    if size is None:
-        size = DEFAULT_SIZES[kind]
-    if path is not None:
+    spec = _KINDS[kind]
+    if path is None:
+        raw = spec.generate(spec.size if size is None else size, seed)
+    else:
         raw = Path(path).read_bytes()
         if not raw:
             raise ValueError(f"empty corpus file {path}")
-        if kind == "words":
-            return raw.split()
-        if kind == "random16":
-            data = array("H")
-            data.frombytes(raw[:len(raw) - (len(raw) % 2)])
-            return data
-        return raw
-    if kind == "text":
-        return english_like_text(size, seed)
-    if kind == "dna":
-        return dna_text(size, seed)
-    if kind == "words":
-        return english_like_text(size, seed).split()
-    return random16_text(size, seed)
+    return spec.decode(raw)
 
 
 @dataclass(frozen=True)

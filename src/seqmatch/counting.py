@@ -12,13 +12,10 @@ which offer no transparent seam in Python, so it is not counted.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .schemes import _items, _val, default_scheme_for
 from .search import resolve_algorithm
-
-COUNT_FIELDS = ("element_comparisons", "element_accesses",
-                "cursor_big_jumps", "cursor_other_ops")
 
 
 @dataclass
@@ -38,6 +35,9 @@ class OperationCounts:
     def per_element(self, elements):
         """Counts divided by the number of elements searched."""
         return {name: getattr(self, name) / elements for name in COUNT_FIELDS}
+
+
+COUNT_FIELDS = tuple(field.name for field in fields(OperationCounts))
 
 
 class CountingValue:

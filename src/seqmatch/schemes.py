@@ -31,6 +31,8 @@ from mmap import mmap
 
 # array typecodes and memoryview formats whose items are plain ints
 _INT_FORMATS = frozenset("bBhHiIlLqQ")
+# the text types whose type alone decides default_scheme_for and probe
+_PLAIN_TEXTS = (bytes, bytearray, str)
 
 
 def _val(x):
@@ -109,7 +111,12 @@ class HashScheme:
 
 class ShiftSumScheme(HashScheme):
     """``sum(_val(seq[pos-s+1+i]) << shifts[i]) & mask`` over the window
-    of ``s = len(shifts)`` symbols ending at ``pos``, read oldest first."""
+    of ``s = len(shifts)`` symbols ending at ``pos``, read oldest first:
+
+    >>> a, c, g, t = b"acgt"
+    >>> DNA4.hash(b"acgt", 3) == (a + (c << 2) + (g << 4) + (t << 6)) & 255
+    True
+    """
 
     def __init__(self, shifts, mask):
         try:  # both are baked into generated code: plain ints only
@@ -122,7 +129,6 @@ class ShiftSumScheme(HashScheme):
                              "mask, all non-negative ints")
         self.suffix_size = len(shifts)
         self.hash_range_max = mask + 1
-        # no search calls hash; perfbench's traced run still times it
         self.hash, self._val_loop = _loops(shifts, mask, "val({})")
         self._int_loop = _loops(shifts, mask, "{}")[1]
         self._str_loop = _loops(shifts, mask, "ord({})")[1]
@@ -132,14 +138,9 @@ class ShiftSumScheme(HashScheme):
                            else self._int_loop)
 
     def probe(self, seq):
-        """Int buffers, str and other symbols each get their own loop;
-        the ``(0,)`` byte loop leaves out a mask that keeps every byte
-        value.  One step over ``ones`` lands on ``pos + 1 + hash``:
-
-        >>> text, ones = "acgt", range(1, DNA4.hash_range_max + 1)
-        >>> DNA4.probe(text)(text, ones, 3, 4), 3 + 1 + DNA4.hash(text, 3)
-        (97, 97)
-        """
+        """Int buffers, str and other symbols each get their own loop,
+        each probing the same window hash as ``hash``; the ``(0,)`` byte
+        loop leaves out a mask that keeps every byte value."""
         fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
                seq.typecode if isinstance(seq, array) else
                seq.format if isinstance(seq, memoryview) else None)
@@ -193,7 +194,7 @@ def default_scheme_for(text):
     anything else the zero sentinel (which routes to the forward
     search).
     """
-    if isinstance(text, (bytes, bytearray, str)):
+    if isinstance(text, _PLAIN_TEXTS):
         return BYTE
     try:
         first = text[0]

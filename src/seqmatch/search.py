@@ -39,7 +39,8 @@ import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .schemes import BYTE, DNA2, DNA3, DNA4, DNA5, _items, default_scheme_for
+from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _items,
+                      default_scheme_for)
 from .tables import _fill_skip, compute_next, compute_skip
 
 
@@ -279,10 +280,6 @@ def _hal(text, pattern, n, m, scheme):
     return _bind(text, pattern, scheme, n.bit_length())(text, n)
 
 
-# the text types whose type alone decides default_scheme_for and probe
-_FINDER_TEXTS = (bytes, bytearray, str)
-
-
 # dispatch's finders, keyed by (pattern, scheme, size_bits, text type)
 @lru_cache(maxsize=256)
 def _cached_tables(pattern, scheme, size_bits, cls):
@@ -398,7 +395,7 @@ def dispatch_search(text, pattern, scheme=None):
     on every call.
     """
     cls = type(text)
-    if cls in _FINDER_TEXTS and type(pattern) in (bytes, str):
+    if cls in _PLAIN_TEXTS and type(pattern) in (bytes, str):
         # one lookup and one scan; _search decides the edge cases
         n = len(text)
         if 2 <= len(pattern) <= n:

@@ -83,8 +83,9 @@ def compute_skip(pattern, scheme, text_size):
 
     Every hash bucket starts at the default shift ``m - s + 1`` (with
     ``s = scheme.suffix_size``); ``_fill_skip`` then writes the buckets
-    of the windows ending at pattern positions ``s-1 .. m-1``, with no
-    skew, for texts of up to ``text_size`` elements.
+    of the windows ending at pattern positions ``s-1 .. m-1``, each
+    hashed by ``scheme.hash``, the hash that the scheme's skip loop
+    probes, with no skew, for texts of up to ``text_size`` elements.
     """
     m = len(pattern)
     if m == 0:
@@ -93,9 +94,6 @@ def compute_skip(pattern, scheme, text_size):
     if m < s:
         raise SuffixTooLong(f"pattern size {m} is below suffix size {s}")
     shifts = [m - s + 1] * scheme.hash_range_max
-    # the pattern type's skip loop: one step from j over `ones` lands on
-    # j + 1 + hash(pattern, j)
-    advance = scheme.probe(pattern)
-    ones = range(1, scheme.hash_range_max + 1)
-    keys = [advance(pattern, ones, j, j + 1) - j - 1 for j in range(s - 1, m)]
+    hash = scheme.hash
+    keys = [hash(pattern, j) for j in range(s - 1, m)]
     return _fill_skip(shifts, keys, m, 0, text_size)

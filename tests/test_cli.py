@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from seqmatch import (SearchOutcome, cli, counting, dispatch_search,
-                      resolve_algorithm)
+                      english_like_text, resolve_algorithm)
 from seqmatch.cli import decode_pattern, main, parse_sizes
 
 CORPUS_LINE = (b"Now's the time for all good men and women to come to the "
@@ -196,6 +196,28 @@ def test_count_rejects_empty_plan(tmp_path):
     rc = main(["count", "--kind", "text", "--size", "9000",
                "--sizes", " ", "--tests", "2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["bench", "count"])
+def test_bench_and_count_default_sizes_per_kind(command, monkeypatch, capsys):
+    # with no --size or --sizes each kind has its own corpus size and
+    # pattern sizes; the plan builder stops the run before the harness
+    seen = []
+
+    def plan_spy(corpus, sizes, tests, dictionary=None):
+        seen.append((corpus, list(sizes)))
+        raise ValueError("stopped before the harness")
+    monkeypatch.setattr(cli, "build_pattern_plan", plan_spy)
+    for kind in ("text", "dna", "words", "random16"):
+        assert main([command, "--kind", kind]) == 2
+    assert "stopped before the harness" in capsys.readouterr().err
+    words = english_like_text(160_000).split()
+    assert [(len(corpus), sizes) for corpus, sizes in seen] == [
+        (160_000, [2, 4, 6, 8, 10, 14, 18]),
+        (600_000, [20, 50, 100, 150, 200]),
+        (len(words), [2, 4, 6, 8]),
+        (100_000, [2, 4, 6, 8, 10, 14, 18])]
+    assert seen[2][0] == words
 
 
 def test_bench_rejects_unknown_algorithm():

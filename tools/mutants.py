@@ -54,8 +54,8 @@ MUTANTS = {
         "search.py", "if 2 <= len(pattern) <= n:",
         "if 1 <= len(pattern) <= n:"),
     "finder-types": (
-        "search.py", "_FINDER_TEXTS = (bytes, bytearray, str)",
-        "_FINDER_TEXTS = (bytes, bytearray, str, memoryview)"),
+        "schemes.py", "_PLAIN_TEXTS = (bytes, bytearray, str)",
+        "_PLAIN_TEXTS = (bytes, bytearray, str, memoryview)"),
     "bind-forward-rule": (
         "search.py", "if s == 0 or len(pattern) < s:", "if s == 0:"),
     "edge-size-one": (
@@ -74,6 +74,8 @@ MUTANTS = {
         "schemes.py", "mask & 255 == 255", "mask & 127 == 127"),
     "skip-window-range": (
         "tables.py", "range(s - 1, m)", "range(s, m)"),
+    "table-hash-window": (
+        "tables.py", "hash(pattern, j)", "hash(pattern, j - 1)"),
     "skip-default-shift": (
         "tables.py", "[m - s + 1]", "[m - s + 2]"),
     "skip-adjustment": (
@@ -89,6 +91,12 @@ MUTANTS = {
         "default_scheme_for(text)"),
     "parser-per-call": (
         "cli.py", "@cache\ndef _build_parser", "def _build_parser"),
+    "cli-scheme-none": (
+        "cli.py", "return SCHEMES.get(scheme)", "return None"),
+    "kind-pattern-sizes": (
+        "corpus.py", "(20, 50, 100, 150, 200)", "(20, 50, 100, 150)"),
+    "kind-corpus-size": (
+        "corpus.py", "600_000", "500_000"),
     "outcome-mutable": (
         "search.py", "@dataclass(frozen=True)", "@dataclass"),
 }
