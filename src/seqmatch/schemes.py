@@ -16,10 +16,12 @@ symbols, is another name for ``byte``.
 The DNA schemes target 4-letter alphabets with long patterns but accept
 any byte-valued data.
 
-Every scheme's ``probe(text)`` returns its skip loop for that text, a
-callable ``advance(text, skip, pos, n)``: the one way a search turns a
-probed window into a skip index.  A shift-sum scheme generates its loops
-with the hash written inline and picks one by the text's buffer format.
+Every scheme's ``probe(text)`` returns its probe index for that text:
+Python source over ``text`` and ``pos`` that the skip search writes
+inline, ``skip[<index>]``.  The generic index is ``hash(text, pos)``,
+with ``hash`` bound to the scheme's own.  A shift-sum scheme writes its
+sum inline instead, one expression per buffer format, each built by
+``_index``; its ``hash`` is the expression for any symbols, compiled.
 """
 
 import operator
@@ -60,27 +62,15 @@ def _items(seq):
     return seq
 
 
-_LOOPS = """\
-def hash(text, pos):
-    return {h}
-
-def advance(text, skip, pos, n):
-    while pos < n:
-        pos += skip[{h}]
-    return pos
-"""
-
-
-def _loops(shifts, mask, read):
-    # hash and skip loop with the shift-sum inlined; `read` wraps each
-    # window symbol text[i], oldest first; mask None leaves the sum as is
+def _index(shifts, mask, read):
+    # the shift-sum window hash as source over `text` and `pos`; `read`
+    # wraps each window symbol text[i], oldest first; mask None leaves
+    # the sum as is
     last = len(shifts) - 1
     terms = [read.format("text[pos]" if i == last else f"text[pos - {last - i}]")
              for i in range(last + 1)]
     h = " + ".join(f"({t} << {x})" if x else t for t, x in zip(terms, shifts))
-    names = {"val": _val}
-    exec(_LOOPS.format(h=h if mask is None else f"({h}) & {mask}"), names)
-    return names["hash"], names["advance"]
+    return h if mask is None else f"({h}) & {mask}"
 
 
 class HashScheme:
@@ -96,17 +86,13 @@ class HashScheme:
         raise NotImplementedError
 
     def probe(self, seq):
-        """The skip loop for ``seq``, picked once per search: a callable
-        ``advance(text, skip, pos, n)`` that runs ``while pos < n: pos +=
-        skip[hash(text, pos)]`` and returns pos.  Subclasses may inline
-        the hash and specialize the loop to the type of ``seq``."""
-        hash = self.hash
-
-        def advance(text, skip, pos, n):
-            while pos < n:
-                pos += skip[hash(text, pos)]
-            return pos
-        return advance
+        """The probe index for ``seq``, picked once per search: source
+        over ``text`` and ``pos``, which may call ``hash``, ``val`` and
+        builtins, that a search compiles into its skip loop, ``while pos
+        < n: pos += skip[<index>]``.  This generic one calls ``hash``,
+        bound to this scheme's; subclasses may inline the hash and
+        specialize the index to the type of ``seq``."""
+        return "hash(text, pos)"
 
 
 class ShiftSumScheme(HashScheme):
@@ -129,26 +115,29 @@ class ShiftSumScheme(HashScheme):
                              "mask, all non-negative ints")
         self.suffix_size = len(shifts)
         self.hash_range_max = mask + 1
-        self.hash, self._val_loop = _loops(shifts, mask, "val({})")
-        self._int_loop = _loops(shifts, mask, "{}")[1]
-        self._str_loop = _loops(shifts, mask, "ord({})")[1]
+        self._val_index = _index(shifts, mask, "val({})")
+        names = {"val": _val}
+        exec(f"def hash(text, pos):\n    return {self._val_index}\n", names)
+        self.hash = names["hash"]
+        self._int_index = _index(shifts, mask, "{}")
+        self._str_index = _index(shifts, mask, "ord({})")
         # a byte indexes the table itself when the mask keeps all its bits
-        self._byte_loop = (_loops(shifts, None, "{}")[1]
-                           if shifts == (0,) and mask & 255 == 255
-                           else self._int_loop)
+        self._byte_index = (_index(shifts, None, "{}")
+                            if shifts == (0,) and mask & 255 == 255
+                            else self._int_index)
 
     def probe(self, seq):
-        """Int buffers, str and other symbols each get their own loop,
-        each probing the same window hash as ``hash``; the ``(0,)`` byte
-        loop leaves out a mask that keeps every byte value."""
+        """Int buffers, str and other symbols each get their own index,
+        each the same window hash as ``hash``; the ``(0,)`` byte index
+        leaves out a mask that keeps every byte value."""
         fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
                seq.typecode if isinstance(seq, array) else
                seq.format if isinstance(seq, memoryview) else None)
         if fmt == "B":
-            return self._byte_loop
+            return self._byte_index
         if fmt in _INT_FORMATS:
-            return self._int_loop
-        return self._str_loop if isinstance(seq, str) else self._val_loop
+            return self._int_index
+        return self._str_index if isinstance(seq, str) else self._val_index
 
 
 class WordHeadScheme(HashScheme):

@@ -7,12 +7,15 @@ form ``l`` never re-read text and bound element comparisons by ``2n``;
 ``l`` additionally needs only a single forward pass, so it accepts
 one-shot iterators.  ``al``/``hal`` keep those bounds but add a skip
 loop that advances the alignment by occurrence-table lookups, probing
-one hashed window per stop instead of comparing elements.  That loop
-is always the callable ``advance(text, skip, pos, n)`` that the
-scheme's ``probe(text)`` returns.  ``nhal`` drops the hash in favor of
-a full 16-bit-alphabet table, skewed so that zero means "default
-shift" and one zero-filled table serves many searches.  Every skip
-table, hashed or not, comes from one builder, ``tables._fill_skip``.
+one hashed window per stop instead of comparing elements.  Every such
+search is generated from one template, ``_SKIP_SEARCH``, with the skip
+loop's probe index written inline: the source that the scheme's
+``probe(text)`` returns, compiled once per distinct index.  ``nhal``
+drops the hash in favor of a full 16-bit-alphabet table, skewed so that
+zero means "default shift" and one zero-filled table serves many
+searches; it runs the same template with the skew added to each step.
+Every skip table, hashed or not, comes from one builder,
+``tables._fill_skip``.
 
 Conventions, applied once in front of every random-access search:
 empty patterns match at offset 0; texts shorter than the pattern report
@@ -26,13 +29,13 @@ and a file in chunks, as bytes or characters (``schemes._items``).
 Searches never mutate their inputs and may run concurrently, sharing
 any ``ReusableSkipTable``: a search that finds its table busy uses a
 fresh one, and ``search_nhal`` calls that pass no table share one
-process-wide table.  Every hashed search binds its pattern, tables and
-skip loop into one finder for the text's type and power-of-two size
-class, so ``dispatch_search`` keeps the finders of bytes and str
-patterns, for texts whose exact type is bytes, bytearray or str, in a
-256-entry ``functools.lru_cache`` keyed by pattern, scheme, size class
-and text type.  Finders are safe to share: their tables are never
-written after they are built.
+process-wide table.  Every hashed search binds its pattern and tables
+into one finder, compiled for the probe index of the text's type, for
+the text's power-of-two size class, so ``dispatch_search`` keeps the
+finders of bytes and str patterns, for texts whose exact type is bytes,
+bytearray or str, in a 256-entry ``functools.lru_cache`` keyed by
+pattern, scheme, size class and text type.  Finders are safe to share:
+their tables are never written after they are built.
 """
 
 import threading
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _items,
-                      default_scheme_for)
+                      _val, default_scheme_for)
 from .tables import _fill_skip, compute_next, compute_skip
 
 
@@ -207,26 +210,28 @@ def search_l(text, pattern):
     return _ABSENT if k is None else SearchOutcome(k)
 
 
-def _skip_search(pattern, shifts, table, advance):
-    # The one skip-loop search behind al, hal, hal2..hal5, nhal and
-    # dispatch, as `find(text, n)` with 2 <= m <= n = len(text).  It is
-    # bound to the pattern, its failure links `shifts` and its
-    # `SkipTable`, built for a text size of at least n, as keyword
-    # defaults, which it reads as fast locals.  `advance` is the whole
-    # skip loop, as a scheme's probe(text) returns it: called once per
-    # entry, it runs `while pos < n: pos += skip[<probe>]`, so a pos at
-    # or past n comes back unchanged and unread.  Only a tail hit stops
-    # the loop at n + m or beyond.
-    def find(text, n, *, pattern=pattern, m=len(pattern), first=pattern[0],
+# The one skip-loop search behind al, hal, hal2..hal5, nhal and dispatch.
+# `bind(pattern, shifts, table, hash, skew)` returns `find(text, n)`, for
+# 2 <= m <= n = len(text), with the pattern, its failure links `shifts`,
+# its `SkipTable` (built for a text size of at least n), the scheme's
+# `hash` and nhal's `skew` bound as positional defaults, read as fast
+# locals.  The skip loop probes `{index}`, a scheme's probe(text), inline;
+# `{skew}` adds nhal's skew to each step.  Only a tail hit stops the loop
+# at n + m or beyond.
+_SKIP_SEARCH = """\
+def bind(pattern, shifts, table, hash, skew):
+    def find(text, n, pattern=pattern, m=len(pattern), first=pattern[0],
              shifts=shifts, skip=table.shifts,
              mismatch_shift=table.mismatch_shift,
-             adjustment=table.adjustment, advance=advance):
+             adjustment=table.adjustment, hash=hash, skew=skew):
         k = 0
         while True:
-            k = advance(text, skip, k + m - 1, n)
-            if k < n + m:
+            pos = k + m - 1
+            while pos < n:
+                pos += skip[{index}]{skew}
+            if pos < n + m:
                 return None  # ran off the end without a tail match
-            k -= adjustment
+            k = pos - adjustment
             if text[k] != first:
                 k += mismatch_shift
                 continue
@@ -256,6 +261,19 @@ def _skip_search(pattern, shifts, table, advance):
                     if k == n:
                         return None
     return find
+"""
+
+
+def _generate(index, skew=""):
+    names = {"val": _val}
+    exec(_SKIP_SEARCH.format(index=index, skew=skew), names)
+    return names["bind"]
+
+
+# hashed searches compile the template once per probe index; nhal's
+# unhashed, skewed search once, at import
+_skip_search = lru_cache(maxsize=64)(_generate)
+_nhal_search = _generate("text[pos]", " + skew")
 
 
 def _bind(text, pattern, scheme, size_bits):
@@ -271,9 +289,9 @@ def _bind(text, pattern, scheme, size_bits):
     shifts = compute_next(pattern)
     if s == 0 or len(pattern) < s:
         return lambda text, n: _l(text, pattern, shifts)
-    return _skip_search(pattern, shifts,
-                        compute_skip(pattern, scheme, (1 << size_bits) - 1),
-                        scheme.probe(text))
+    return _skip_search(scheme.probe(text))(
+        pattern, shifts, compute_skip(pattern, scheme, (1 << size_bits) - 1),
+        scheme.hash, 0)
 
 
 def _hal(text, pattern, n, m, scheme):
@@ -334,15 +352,10 @@ def _nhal(text, pattern, n, m, table):
         table.lock.acquire()
     slots = table.slots
     skew = m  # suffix size 1, so the default shift is m - 1 + 1
-
-    def advance(text, skip, pos, n):
-        while pos < n:
-            pos += skip[text[pos]] + skew
-        return pos
     try:
-        return _skip_search(pattern, compute_next(pattern),
+        return _nhal_search(pattern, compute_next(pattern),
                             _fill_skip(slots, pattern, m, skew, n),
-                            advance)(text, n)
+                            None, skew)(text, n)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all

@@ -54,7 +54,7 @@ class SkipTable:
     ``shifts[h]`` says how far the alignment may advance when the
     probed window hashes to ``h``.  ``_fill_skip`` writes every entry,
     ``mismatch_shift`` and ``adjustment``; the skip loop that reads
-    them is ``search._skip_search``.
+    them is ``search._SKIP_SEARCH``.
     """
 
     shifts: list

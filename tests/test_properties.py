@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import naive_find, next_oracle
 
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, SCHEMES, ShiftSumScheme,
-                      compute_next, dispatch_search, resolve_algorithm,
-                      run_counted, search_hal, search_l)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, SCHEMES, HashScheme,
+                      ShiftSumScheme, compute_next, dispatch_search,
+                      resolve_algorithm, run_counted, search_hal, search_l)
 
 ALPHABETS = (b"ab", b"acgt", b"abcdefghijklmnopqrstuvwxyz", bytes(range(256)))
 
@@ -74,6 +74,33 @@ def test_every_shift_sum_loop_matches_the_oracle(case):
                 for scheme in _SHIFT_SUMS:
                     assert search_hal(t, p, scheme).position == want, \
                         (type(t), scheme.shifts)
+
+
+class _Window3(HashScheme):
+    """A generic hash of a 3-symbol window into an 11-slot table."""
+
+    hash_range_max = 11
+    suffix_size = 3
+
+    def hash(self, seq, pos):
+        return (seq[pos - 2] + 3 * seq[pos - 1] + 5 * seq[pos]) % 11
+
+
+# shared heads and an empty word make WORD_HEAD's table collide
+_WORDS = (b"", b"to", b"tea", b"be", b"bee", b"or", b"not", b"no")
+
+
+@given(search_case(min_text=16))
+def test_generic_hash_searches_match_the_oracle(case):
+    # both searches run the generic probe index, hash(text, pos): word
+    # lists under dispatch's WORD_HEAD and a 3-symbol window over bytes
+    text, pattern = case
+    words, pattern_words = ([_WORDS[v % len(_WORDS)] for v in seq]
+                            for seq in (text, pattern))
+    assert (dispatch_search(words, pattern_words).position
+            == naive_find(words, pattern_words))
+    assert (search_hal(text, pattern, _Window3()).position
+            == naive_find(text, pattern))
 
 
 # typecode -> a one-to-one map of byte values: B, H and both views stay

@@ -5,6 +5,7 @@ import pytest
 
 from seqmatch import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
                       WORD_HEAD, ZERO, ShiftSumScheme, default_scheme_for)
+from seqmatch.schemes import _val
 
 _RANGED = {name: s for name, s in SCHEMES.items() if s is not ZERO}
 _SHIFT_SUMS = {name: s for name, s in SCHEMES.items()
@@ -85,12 +86,13 @@ def test_probe_agrees_with_hash(scheme):
             list(values), "".join(map(chr, values)),
             memoryview(bytes(values)),
             memoryview(array("H", [v * 257 for v in values]))]
-    # one step of the probed loop over `skip` lands on pos + 1 + hash
-    skip = [h + 1 for h in range(scheme.hash_range_max)]
+    # each kind's probe index, evaluated as the skip search evaluates it,
+    # is the scheme's hash of the window ending at pos
     for seq in seqs:
-        advance = scheme.probe(seq)
+        index = compile(scheme.probe(seq), "<probe>", "eval")
+        names = {"val": _val, "hash": scheme.hash}
         for pos in range(scheme.suffix_size - 1, len(seq)):
-            got = advance(seq, skip, pos, pos + 1) - pos - 1
+            got = eval(index, names, {"text": seq, "pos": pos})
             assert got == scheme.hash(seq, pos), (seq, pos)
 
 
@@ -99,29 +101,31 @@ def test_probe_specializes_buffers_and_strings():
              array("b"), array("H"), array("d"), memoryview(b"ab"),
              memoryview(b"ab").cast("c"), memoryview(array("H"))]
     for scheme in SCHEMES.values():
-        assert all(callable(scheme.probe(seq)) for seq in kinds)
-    # byte buffers share the unmasked loop; other int buffers, signed
+        assert all(isinstance(scheme.probe(seq), str) for seq in kinds)
+    # byte buffers share the unmasked index; other int buffers, signed
     # bytes included, share the masked one
-    byte_loop, int_loop = BYTE.probe(b"ab"), BYTE.probe(array("H"))
-    assert byte_loop is not int_loop
+    byte_index, int_index = BYTE.probe(b"ab"), BYTE.probe(array("H"))
+    assert byte_index != int_index
     for seq in (bytearray(), array("B"), memoryview(b"ab")):
-        assert BYTE.probe(seq) is byte_loop
-    assert BYTE.probe(array("b")) is int_loop
-    assert MOD256.probe(memoryview(array("H"))) is MOD256.probe(array("H"))
+        assert BYTE.probe(seq) == byte_index
+    assert BYTE.probe(array("b")) == int_index
+    assert MOD256.probe(memoryview(array("H"))) == MOD256.probe(array("H"))
     # mask 1023 keeps every byte value, so bytes skip it; a mask that
     # drops byte bits, or a wider window, masks bytes too
     wide, low = _PROBED["wide1023"], _PROBED["low15"]
-    assert wide.probe(b"") is not wide.probe(array("H"))
-    assert low.probe(b"") is low.probe(array("H"))
-    assert DNA4.probe(bytearray()) is DNA4.probe(array("H"))
-    # str gets its own loop; any other symbols go through _val
+    assert wide.probe(b"") != wide.probe(array("H"))
+    assert low.probe(b"") == low.probe(array("H"))
+    assert _PROBED["low127"].probe(b"") == _PROBED["low127"].probe(array("H"))
+    assert DNA4.probe(bytearray()) == DNA4.probe(array("H"))
+    # str gets the ord index; any other symbols go through val
     generic = BYTE.probe([1, 2])
-    assert generic not in (byte_loop, int_loop)
-    assert BYTE.probe(memoryview(b"ab").cast("c")) is generic  # bytes items
-    assert DNA4.probe(array("d")) is DNA4.probe([])
-    assert DNA4.probe(bytearray()) is not DNA4.probe([1, 2, 3, 4])
+    assert generic not in (byte_index, int_index) and "val(" in generic
+    assert BYTE.probe(memoryview(b"ab").cast("c")) == generic  # bytes items
+    assert DNA4.probe(array("d")) == DNA4.probe([])
+    assert DNA4.probe(bytearray()) != DNA4.probe([1, 2, 3, 4])
     assert DNA4.probe("acgt") not in (DNA4.probe(b""), DNA4.probe([]))
-    assert BYTE.probe("ab") not in (byte_loop, int_loop, generic)
+    assert BYTE.probe("ab") not in (byte_index, int_index, generic)
+    assert "ord(" in BYTE.probe("ab") and "ord(" in DNA4.probe("acgt")
 
 
 def test_shift_sum_scheme_validates_its_parameters():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import mmap
 import random
@@ -449,7 +450,8 @@ def test_dispatch_cache_serves_one_entry_per_text_size_class():
     assert cached.cache_info().misses == 2
     # the tail slot exceeds every text of the class [128, 256) but stays
     # <= 2n, so tail hits keep small-int arithmetic
-    assert cached(pattern, BYTE, 8, bytes).__kwdefaults__["skip"][pattern[-1]] == 256
+    finder = cached(pattern, BYTE, 8, bytes)
+    assert inspect.signature(finder).parameters["skip"].default[pattern[-1]] == 256
 
 
 def test_dispatch_cache_stays_within_its_bound():

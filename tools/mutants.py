@@ -36,9 +36,9 @@ FIRST = "tests/test_counting.py::test_skip_loops_stop_within_a_linear_budget"
 # name -> (file under src/seqmatch, old text, new text); old occurs once
 MUTANTS = {
     "scan-not-found-test": (
-        "search.py", "if k < n + m:", "if k <= n + m:"),
+        "search.py", "if pos < n + m:", "if pos <= n + m:"),
     "scan-not-found-hang": (
-        "search.py", "if k < n + m:", "if k < n + m - 1:"),
+        "search.py", "if pos < n + m:", "if pos < n + m - 1:"),
     "scan-recovery-end": (
         "search.py", "if k == n:", "if k == n - 1:"),
     "scan-mismatch-shift": (
@@ -67,10 +67,15 @@ MUTANTS = {
         "if not table.lock.acquire(blocking=False) and False:"),
     "nhal-no-release": (
         "search.py", "        table.lock.release()\n", ""),
+    "nhal-step-skew": (
+        "search.py", '_generate("text[pos]", " + skew")',
+        '_generate("text[pos]")'),
     "loop-bound": (
-        "schemes.py", "def advance(text, skip, pos, n):\n    while pos < n:",
-        "def advance(text, skip, pos, n):\n    while pos <= n:"),
-    "byte-loop-mask-127": (
+        "search.py", "while pos < n:", "while pos <= n:"),
+    "generic-index": (
+        "schemes.py", 'return "hash(text, pos)"',
+        'return "hash(text, pos - 1)"'),
+    "byte-index-mask-127": (
         "schemes.py", "mask & 255 == 255", "mask & 127 == 127"),
     "skip-window-range": (
         "tables.py", "range(s - 1, m)", "range(s, m)"),
