@@ -18,10 +18,16 @@ any byte-valued data.
 
 Every scheme's ``probe(text)`` returns its probe index for that text:
 Python source over ``text`` and ``pos`` that the skip search writes
-inline, ``skip[<index>]``.  The generic index is ``hash(text, pos)``,
+inline, ``skip[<index>]``, and that ``tables.compute_skip`` compiles to
+hash the pattern's windows.  The generic index is ``hash(text, pos)``,
 with ``hash`` bound to the scheme's own.  A shift-sum scheme writes its
 sum inline instead, one expression per buffer format, each built by
-``_index``; its ``hash`` is the expression for any symbols, compiled.
+``_index``.  There a shift by ``x`` is a multiplication by ``2**x``,
+which CPython specializes for ints where it does not specialize
+``<<``, and a term that the mask always zeroes (``mask >> x == 0``) is
+left out.  The index for any other symbols, through ``val``, keeps every
+term: counted runs read through it, so they read every window symbol,
+and the scheme's ``hash`` is that index, compiled.
 """
 
 import operator
@@ -62,15 +68,24 @@ def _items(seq):
     return seq
 
 
-def _index(shifts, mask, read):
+def _compiled(source, name):
+    # the function `name` that `source` defines, with `val` bound: every
+    # generated hash, window list and skip search
+    names = {"val": _val}
+    exec(source, names)
+    return names[name]
+
+
+def _index(shifts, mask, read, every=False):
     # the shift-sum window hash as source over `text` and `pos`; `read`
-    # wraps each window symbol text[i], oldest first; mask None leaves
-    # the sum as is
+    # wraps each window symbol text[i], oldest first, and `* 2**x` is its
+    # shift.  A term with mask >> x == 0 only adds bits the mask clears,
+    # so it is left out unless `every`; with no term left the index is 0
     last = len(shifts) - 1
     terms = [read.format("text[pos]" if i == last else f"text[pos - {last - i}]")
-             for i in range(last + 1)]
-    h = " + ".join(f"({t} << {x})" if x else t for t, x in zip(terms, shifts))
-    return h if mask is None else f"({h}) & {mask}"
+             + (f" * {1 << x}" if x else "")
+             for i, x in enumerate(shifts) if every or mask >> x]
+    return f"({' + '.join(terms)}) & {mask}" if terms else "0"
 
 
 class HashScheme:
@@ -89,9 +104,11 @@ class HashScheme:
         """The probe index for ``seq``, picked once per search: source
         over ``text`` and ``pos``, which may call ``hash``, ``val`` and
         builtins, that a search compiles into its skip loop, ``while pos
-        < n: pos += skip[<index>]``.  This generic one calls ``hash``,
-        bound to this scheme's; subclasses may inline the hash and
-        specialize the index to the type of ``seq``."""
+        < n: pos += skip[<index>]``, and that ``compute_skip`` compiles
+        into the list of the pattern's window hashes when ``seq`` is the
+        pattern.  This generic one calls ``hash``, bound to this
+        scheme's; subclasses may inline the hash and specialize the
+        index to the type of ``seq``."""
         return "hash(text, pos)"
 
 
@@ -115,21 +132,20 @@ class ShiftSumScheme(HashScheme):
                              "mask, all non-negative ints")
         self.suffix_size = len(shifts)
         self.hash_range_max = mask + 1
-        self._val_index = _index(shifts, mask, "val({})")
-        names = {"val": _val}
-        exec(f"def hash(text, pos):\n    return {self._val_index}\n", names)
-        self.hash = names["hash"]
+        self._val_index = _index(shifts, mask, "val({})", every=True)
+        self.hash = _compiled(
+            f"def hash(text, pos):\n    return {self._val_index}\n", "hash")
         self._int_index = _index(shifts, mask, "{}")
         self._str_index = _index(shifts, mask, "ord({})")
         # a byte indexes the table itself when the mask keeps all its bits
-        self._byte_index = (_index(shifts, None, "{}")
-                            if shifts == (0,) and mask & 255 == 255
+        self._byte_index = ("text[pos]" if shifts == (0,) and mask & 255 == 255
                             else self._int_index)
 
     def probe(self, seq):
         """Int buffers, str and other symbols each get their own index,
         each the same window hash as ``hash``; the ``(0,)`` byte index
-        leaves out a mask that keeps every byte value."""
+        leaves out a mask that keeps every byte value, and all but the
+        ``val`` index leave out the terms that the mask zeroes."""
         fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
                seq.typecode if isinstance(seq, array) else
                seq.format if isinstance(seq, memoryview) else None)
@@ -159,6 +175,9 @@ MOD256 = BYTE
 DNA2 = ShiftSumScheme((0, 3), 63)
 DNA3 = ShiftSumScheme((0, 3, 6), 511)
 DNA4 = ShiftSumScheme((0, 2, 4, 6), 255)
+# DNA5's newest symbol, shifted by 8, never changes its hash under mask
+# 255: the uncounted probes skip that read, and the counted one through
+# `val` keeps it, so count reports stay as they were
 DNA5 = ShiftSumScheme((0, 2, 4, 6, 8), 255)
 WORD_HEAD = WordHeadScheme()
 ZERO = HashScheme()

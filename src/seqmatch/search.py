@@ -42,8 +42,8 @@ import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _items,
-                      _val, default_scheme_for)
+from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _compiled,
+                      _items, default_scheme_for)
 from .tables import _fill_skip, compute_next, compute_skip
 
 
@@ -265,9 +265,7 @@ def bind(pattern, shifts, table, hash, skew):
 
 
 def _generate(index, skew=""):
-    names = {"val": _val}
-    exec(_SKIP_SEARCH.format(index=index, skew=skew), names)
-    return names["bind"]
+    return _compiled(_SKIP_SEARCH.format(index=index, skew=skew), "bind")
 
 
 # hashed searches compile the template once per probe index; nhal's

@@ -9,8 +9,10 @@ alignment may jump.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import EmptyPattern, SuffixTooLong
+from .schemes import _compiled
 
 
 def compute_next(pattern):
@@ -77,15 +79,27 @@ def _fill_skip(slots, hashes, m, skew, text_size):
     return SkipTable(slots, mismatch_shift, large + m - 1)
 
 
+# the hashes of the windows of `text` ending at lo .. hi - 1, as the skip
+# loop probes them: one list comprehension over a probe index, compiled
+# once per index, with `hash` bound for generic schemes
+@lru_cache(maxsize=64)
+def _windows(index):
+    return _compiled("def windows(text, hash, lo, hi):\n"
+                     f"    return [{index} for pos in range(lo, hi)]\n",
+                     "windows")
+
+
 # signature kept: perfbench's traced run times this call directly
 def compute_skip(pattern, scheme, text_size):
     """Build the skip table for ``pattern`` under ``scheme``.
 
     Every hash bucket starts at the default shift ``m - s + 1`` (with
     ``s = scheme.suffix_size``); ``_fill_skip`` then writes the buckets
-    of the windows ending at pattern positions ``s-1 .. m-1``, each
-    hashed by ``scheme.hash``, the hash that the scheme's skip loop
-    probes, with no skew, for texts of up to ``text_size`` elements.
+    of the windows ending at pattern positions ``s-1 .. m-1``, with no
+    skew, for texts of up to ``text_size`` elements.  Each window is
+    hashed by ``scheme.probe(pattern)``, the index that the scheme's
+    skip loop probes, inline, so a shift-sum scheme makes no call per
+    window.
     """
     m = len(pattern)
     if m == 0:
@@ -94,6 +108,5 @@ def compute_skip(pattern, scheme, text_size):
     if m < s:
         raise SuffixTooLong(f"pattern size {m} is below suffix size {s}")
     shifts = [m - s + 1] * scheme.hash_range_max
-    hash = scheme.hash
-    keys = [hash(pattern, j) for j in range(s - 1, m)]
+    keys = _windows(scheme.probe(pattern))(pattern, scheme.hash, s - 1, m)
     return _fill_skip(shifts, keys, m, 0, text_size)

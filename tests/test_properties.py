@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from oracles import naive_find, next_oracle
 
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, SCHEMES, HashScheme,
-                      ShiftSumScheme, compute_next, dispatch_search,
-                      resolve_algorithm, run_counted, search_hal, search_l)
+                      ShiftSumScheme, compute_next, compute_skip,
+                      dispatch_search, resolve_algorithm, run_counted,
+                      search_hal, search_l)
+from seqmatch.tables import _fill_skip
 
 ALPHABETS = (b"ab", b"acgt", b"abcdefghijklmnopqrstuvwxyz", bytes(range(256)))
 
@@ -74,6 +76,31 @@ def test_every_shift_sum_loop_matches_the_oracle(case):
                 for scheme in _SHIFT_SUMS:
                     assert search_hal(t, p, scheme).position == want, \
                         (type(t), scheme.shifts)
+
+
+# one text of each index kind: bytes, int buffers, str and other symbols
+_INDEX_KINDS = [bytes, lambda b: array("H", [v * 257 for v in b]),
+                lambda b: b.decode("latin-1"), list]
+
+
+@given(search_case(alphabets=(b"acgt", bytes(range(256))), min_text=16),
+       st.lists(st.integers(0, 10), min_size=1, max_size=5),
+       st.integers(0, 1023))
+def test_any_shift_sum_scheme_matches_the_oracle(case, shifts, mask):
+    # masks that zero some terms, or every term, included
+    scheme = ShiftSumScheme(shifts, mask)
+    text, pattern = case
+    want = naive_find(text, pattern)
+    s, m = scheme.suffix_size, len(pattern)
+    for kind in _INDEX_KINDS:
+        t, p = kind(text), kind(pattern)
+        assert search_hal(t, p, scheme).position == want, (type(t), shifts)
+        if m >= s:
+            # the pattern's windows hash as scheme.hash hashes them
+            slots = [m - s + 1] * scheme.hash_range_max
+            hashes = [scheme.hash(p, j) for j in range(s - 1, m)]
+            assert (compute_skip(p, scheme, len(t)).shifts
+                    == _fill_skip(slots, hashes, m, 0, len(t)).shifts)
 
 
 class _Window3(HashScheme):

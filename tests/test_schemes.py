@@ -69,10 +69,16 @@ def test_equal_windows_hash_equal(name):
 
 # masks 15, 127 and 1023 sit on both sides of the unmasked byte loop's
 # condition, mask & 255 == 255; 127 also drops the top bit of the byte
-# values up to 255 probed below
+# values up to 255 probed below.  The last four have terms that their
+# mask zeroes: every term, the newest, the oldest, and the newest of two
+# under a one-bit mask
 _PROBED = {**_SHIFT_SUMS, "low15": ShiftSumScheme((0,), 15),
            "low127": ShiftSumScheme((0,), 127),
-           "wide1023": ShiftSumScheme((0,), 1023)}
+           "wide1023": ShiftSumScheme((0,), 1023),
+           "mask0": ShiftSumScheme((0,), 0),
+           "dead-newest": ShiftSumScheme((0, 9), 255),
+           "dead-oldest": ShiftSumScheme((9, 0), 255),
+           "bit1": ShiftSumScheme((0, 1), 1)}
 
 
 @pytest.mark.parametrize("scheme", _PROBED.values(), ids=list(_PROBED))
@@ -94,6 +100,17 @@ def test_probe_agrees_with_hash(scheme):
         for pos in range(scheme.suffix_size - 1, len(seq)):
             got = eval(index, names, {"text": seq, "pos": pos})
             assert got == scheme.hash(seq, pos), (seq, pos)
+
+
+def test_generic_probe_is_the_scheme_hash():
+    # the skip loop and compute_skip both read this index, so a wrong
+    # window in it would shift table and loop alike; pin it to hash
+    words = [b"x", b"to", b"", b"be", b"no"]
+    index = compile(WORD_HEAD.probe(words), "<probe>", "eval")
+    names = {"hash": WORD_HEAD.hash}
+    for pos in range(len(words)):
+        got = eval(index, names, {"text": words, "pos": pos})
+        assert got == WORD_HEAD.hash(words, pos), pos
 
 
 def test_probe_specializes_buffers_and_strings():
@@ -126,6 +143,24 @@ def test_probe_specializes_buffers_and_strings():
     assert DNA4.probe("acgt") not in (DNA4.probe(b""), DNA4.probe([]))
     assert BYTE.probe("ab") not in (byte_index, int_index, generic)
     assert "ord(" in BYTE.probe("ab") and "ord(" in DNA4.probe("acgt")
+
+
+def test_indexes_multiply_and_leave_out_what_the_mask_zeroes():
+    kinds = [b"", array("H"), "", []]
+    for scheme in _PROBED.values():
+        assert not any("<<" in scheme.probe(seq) for seq in kinds)
+    # DNA5's newest symbol, times 256, never reaches its 8-bit mask: the
+    # uncounted indexes skip that read, the val one keeps it
+    for seq in kinds[:3]:
+        assert "text[pos]" not in DNA5.probe(seq)
+    assert "val(text[pos]) * 256" in DNA5.probe([])
+    assert "text[pos]" not in _PROBED["dead-newest"].probe(b"")
+    assert "text[pos - 1]" not in _PROBED["dead-oldest"].probe("")
+    assert "text[pos]" not in _PROBED["bit1"].probe(array("H"))
+    # no term left: the index is the constant 0
+    mask0 = _PROBED["mask0"]
+    assert mask0.probe(b"") == mask0.probe("") == "0"
+    assert "val(text[pos])" in mask0.probe([])
 
 
 def test_shift_sum_scheme_validates_its_parameters():

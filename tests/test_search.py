@@ -358,6 +358,9 @@ def test_dispatch_capability_routing():
 def test_dispatch_word_sequences():
     words = b"to be or not to be that is the question".split()
     assert dispatch_search(words, [b"not", b"to", b"be"]).position == 3
+    # the first probe reads "be"; "to", whose head the pattern lacks,
+    # lies before the match and must not decide the first shift
+    assert dispatch_search(words, [b"be", b"or"]).position == 1
     assert dispatch_search(words, [b"banana"]).position is None
 
 

@@ -78,9 +78,16 @@ MUTANTS = {
     "byte-index-mask-127": (
         "schemes.py", "mask & 255 == 255", "mask & 127 == 127"),
     "skip-window-range": (
-        "tables.py", "range(s - 1, m)", "range(s, m)"),
+        "tables.py", "scheme.hash, s - 1, m)", "scheme.hash, s, m)"),
     "table-hash-window": (
-        "tables.py", "hash(pattern, j)", "hash(pattern, j - 1)"),
+        "tables.py", "for pos in range(lo, hi)",
+        "for pos in range(lo - 1, hi - 1)"),
+    "index-multiplier": (
+        "schemes.py", "{1 << x}", "{2 << x}"),
+    "index-live-term": (
+        "schemes.py", "mask >> x]", "mask >> x + 1]"),
+    "val-index-dead-terms": (
+        "schemes.py", '"val({})", every=True)', '"val({})")'),
     "skip-default-shift": (
         "tables.py", "[m - s + 1]", "[m - s + 2]"),
     "skip-adjustment": (
