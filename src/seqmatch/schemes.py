@@ -25,12 +25,20 @@ sum inline instead, one expression per buffer format, each built by
 ``_index``.  There a shift by ``x`` is a multiplication by ``2**x``,
 which CPython specializes for ints where it does not specialize
 ``<<``, and a term that the mask always zeroes (``mask >> x == 0``) is
-left out.  The index for any other symbols, through ``val``, keeps every
-term: counted runs read through it, so they read every window symbol,
-and the scheme's ``hash`` is that index, compiled.
+left out.  Where the mask also clears every bit above a symbol's low
+byte (``mask >> x < 256`` for every shift), an array or contiguous 1-D
+memoryview of ints wider than a byte is probed through ``low``, a byte
+view of each item's low byte, which yields cached small ints: its index
+reads ``low[i]`` where the int index reads ``text[i]``, and each
+generated function that reads it binds ``low`` once per call, before its
+loop (``_compiled``), so the view lives only while the call runs.  The
+index for any other symbols, through ``val``, keeps every term: counted
+runs read through it, so they read every window symbol, and the
+scheme's ``hash`` is that index, compiled.
 """
 
 import operator
+import sys
 from array import array
 from functools import partial
 from io import IOBase
@@ -68,11 +76,19 @@ def _items(seq):
     return seq
 
 
-def _compiled(source, name):
-    # the function `name` that `source` defines, with `val` bound: every
-    # generated hash, window list and skip search
+# binds `low`: the low byte of each item of the int buffer `text`
+_LOW = "low = memoryview(text).cast('B')[{}::text.itemsize]".format(
+    0 if sys.byteorder == "little" else "text.itemsize - 1")
+
+
+def _compiled(template, name, index, **fields):
+    # the function `name` that `template` defines, with `val` bound and
+    # the probe index `index` in its `{index}` slots: every generated hash,
+    # window list and skip search.  Its `{low}` line, before the index's
+    # loop, binds `low` when the index reads it
     names = {"val": _val}
-    exec(source, names)
+    exec(template.format(index=index, low=_LOW if "low[" in index else "",
+                         **fields), names)
     return names[name]
 
 
@@ -103,12 +119,13 @@ class HashScheme:
     def probe(self, seq):
         """The probe index for ``seq``, picked once per search: source
         over ``text`` and ``pos``, which may call ``hash``, ``val`` and
-        builtins, that a search compiles into its skip loop, ``while pos
-        < n: pos += skip[<index>]``, and that ``compute_skip`` compiles
-        into the list of the pattern's window hashes when ``seq`` is the
-        pattern.  This generic one calls ``hash``, bound to this
-        scheme's; subclasses may inline the hash and specialize the
-        index to the type of ``seq``."""
+        builtins and read ``low``, the low bytes of ``text``'s items,
+        that a search compiles into its skip loop, ``while pos < n: pos
+        += skip[<index>]``, and that ``compute_skip`` compiles into the
+        list of the pattern's window hashes when ``seq`` is the pattern.
+        This generic one calls ``hash``, bound to this scheme's;
+        subclasses may inline the hash and specialize the index to the
+        type of ``seq``."""
         return "hash(text, pos)"
 
 
@@ -133,26 +150,35 @@ class ShiftSumScheme(HashScheme):
         self.suffix_size = len(shifts)
         self.hash_range_max = mask + 1
         self._val_index = _index(shifts, mask, "val({})", every=True)
-        self.hash = _compiled(
-            f"def hash(text, pos):\n    return {self._val_index}\n", "hash")
+        self.hash = _compiled("def hash(text, pos):\n    return {index}\n",
+                              "hash", self._val_index)
         self._int_index = _index(shifts, mask, "{}")
         self._str_index = _index(shifts, mask, "ord({})")
         # a byte indexes the table itself when the mask keeps all its bits
         self._byte_index = ("text[pos]" if shifts == (0,) and mask & 255 == 255
                             else self._int_index)
+        # a mask that clears every bit above each term's low byte needs
+        # only the low byte of a wide int symbol
+        self._low_index = (self._byte_index.replace("text[", "low[")
+                           if mask >> min(shifts) < 256 else self._int_index)
 
     def probe(self, seq):
         """Int buffers, str and other symbols each get their own index,
         each the same window hash as ``hash``; the ``(0,)`` byte index
         leaves out a mask that keeps every byte value, and all but the
-        ``val`` index leave out the terms that the mask zeroes."""
+        ``val`` index leave out the terms that the mask zeroes.  Arrays
+        and contiguous 1-D memoryviews of ints wider than a byte get the
+        low-byte index, which reads ``low``, where the mask allows it."""
         fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
                seq.typecode if isinstance(seq, array) else
                seq.format if isinstance(seq, memoryview) else None)
         if fmt == "B":
             return self._byte_index
         if fmt in _INT_FORMATS:
-            return self._int_index
+            # a byte view casts only from contiguous 1-D items
+            flat = isinstance(seq, array) or seq.c_contiguous and seq.ndim == 1
+            return self._low_index if flat and seq.itemsize > 1 else (
+                self._int_index)
         return self._str_index if isinstance(seq, str) else self._val_index
 
 

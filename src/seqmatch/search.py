@@ -216,14 +216,16 @@ def search_l(text, pattern):
 # its `SkipTable` (built for a text size of at least n), the scheme's
 # `hash` and nhal's `skew` bound as positional defaults, read as fast
 # locals.  The skip loop probes `{index}`, a scheme's probe(text), inline;
-# `{skew}` adds nhal's skew to each step.  Only a tail hit stops the loop
-# at n + m or beyond.
+# `{low}` binds the byte view a low-byte index reads, and `{skew}` adds
+# nhal's skew to each step.  Only a tail hit stops the loop at n + m or
+# beyond.
 _SKIP_SEARCH = """\
 def bind(pattern, shifts, table, hash, skew):
     def find(text, n, pattern=pattern, m=len(pattern), first=pattern[0],
              shifts=shifts, skip=table.shifts,
              mismatch_shift=table.mismatch_shift,
              adjustment=table.adjustment, hash=hash, skew=skew):
+        {low}
         k = 0
         while True:
             pos = k + m - 1
@@ -265,7 +267,7 @@ def bind(pattern, shifts, table, hash, skew):
 
 
 def _generate(index, skew=""):
-    return _compiled(_SKIP_SEARCH.format(index=index, skew=skew), "bind")
+    return _compiled(_SKIP_SEARCH, "bind", index, skew=skew)
 
 
 # hashed searches compile the template once per probe index; nhal's

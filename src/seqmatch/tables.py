@@ -84,9 +84,9 @@ def _fill_skip(slots, hashes, m, skew, text_size):
 # once per index, with `hash` bound for generic schemes
 @lru_cache(maxsize=64)
 def _windows(index):
-    return _compiled("def windows(text, hash, lo, hi):\n"
-                     f"    return [{index} for pos in range(lo, hi)]\n",
-                     "windows")
+    return _compiled("def windows(text, hash, lo, hi):\n    {low}\n"
+                     "    return [{index} for pos in range(lo, hi)]\n",
+                     "windows", index)
 
 
 # signature kept: perfbench's traced run times this call directly

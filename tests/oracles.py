@@ -2,8 +2,11 @@
 
 Each oracle evaluates a definition directly, with no sharing of code or
 structure with the implementations it checks.  ``tuned_bm`` is no oracle
-but a yardstick: the classic search the paper measures hal against.
+but a yardstick: the classic search the paper measures hal against, and
+``wide_ints`` builds test inputs.
 """
+
+from array import array
 
 
 def naive_find(text, pattern):
@@ -79,3 +82,18 @@ def tuned_bm(text, pattern):
             return k - m + 1
         k += md2
     return None
+
+
+def wide_ints(typecode, values):
+    """An int array of byte ``values``, one-to-one: each symbol's low byte
+    is its value and every higher byte differs from it, so a search that
+    read any byte but the low one would hash differently.  A signed
+    typecode gets negative symbols: its top byte has bit 7 set."""
+    size = array(typecode).itemsize
+    top = 1 << 8 * size - 1
+    symbols = []
+    for v in values:
+        x = int.from_bytes(bytes([v] + [v ^ 0x11 * j for j in range(1, size)]),
+                           "little")
+        symbols.append((x | top) - 2 * top if typecode.islower() else x)
+    return array(typecode, symbols)

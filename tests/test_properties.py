@@ -8,7 +8,7 @@ from array import array
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import naive_find, next_oracle
+from oracles import naive_find, next_oracle, wide_ints
 
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA4, SCHEMES, HashScheme,
                       ShiftSumScheme, compute_next, compute_skip,
@@ -55,7 +55,7 @@ _SHIFT_SUMS = [s for s in SCHEMES.values() if isinstance(s, ShiftSumScheme)]
 
 # each kind maps byte values one-to-one, so matches stay where they were
 _KINDS = [bytes, bytearray, memoryview, lambda b: array("B", b),
-          lambda b: array("H", [v * 257 for v in b]),
+          lambda b: wide_ints("H", b),
           lambda b: array("i", [v * 65537 - (1 << 23) for v in b]),
           list, lambda b: b.decode("latin-1")]
 
@@ -78,8 +78,11 @@ def test_every_shift_sum_loop_matches_the_oracle(case):
                         (type(t), scheme.shifts)
 
 
-# one text of each index kind: bytes, int buffers, str and other symbols
-_INDEX_KINDS = [bytes, lambda b: array("H", [v * 257 for v in b]),
+# one text of each index kind: bytes, int buffers (wide ones read whole
+# or through their low byte, negative symbols included), str and other
+# symbols
+_INDEX_KINDS = [bytes, *(lambda b, code=code: wide_ints(code, b)
+                         for code in "HhIQ"),
                 lambda b: b.decode("latin-1"), list]
 
 
@@ -137,7 +140,7 @@ _BUFFERS = {
     "b": lambda b: array("b", [v - 128 for v in b]),
     "B": lambda b: array("B", b),
     "h": lambda b: array("h", [v * 257 - 32768 for v in b]),
-    "H": lambda b: array("H", [v * 257 for v in b]),
+    "H": lambda b: wide_ints("H", b),
     "i": lambda b: array("i", [v * 65537 - (1 << 24) for v in b]),
     "q": lambda b: array("q", [(v + 1) << 40 for v in b]),
     "view-B": memoryview,

@@ -2,10 +2,11 @@ import random
 from array import array
 
 import pytest
+from oracles import wide_ints
 
 from seqmatch import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
                       WORD_HEAD, ZERO, ShiftSumScheme, default_scheme_for)
-from seqmatch.schemes import _val
+from seqmatch.schemes import _LOW, _val
 
 _RANGED = {name: s for name, s in SCHEMES.items() if s is not ZERO}
 _SHIFT_SUMS = {name: s for name, s in SCHEMES.items()
@@ -87,18 +88,24 @@ def test_probe_agrees_with_hash(scheme):
     values = [rng.randrange(256) for _ in range(40)]
     seqs = [bytes(values), bytearray(values), array("B", values),
             array("b", [v - 128 for v in values]),
-            array("H", [v * 257 for v in values]),
+            *(wide_ints(code, values) for code in "HhIQ"),
             array("i", [v * 65537 - (1 << 23) for v in values]),
             list(values), "".join(map(chr, values)),
             memoryview(bytes(values)),
-            memoryview(array("H", [v * 257 for v in values]))]
+            memoryview(wide_ints("H", values)),
+            memoryview(wide_ints("H", values * 2))[::2]]
     # each kind's probe index, evaluated as the skip search evaluates it,
     # is the scheme's hash of the window ending at pos
     for seq in seqs:
-        index = compile(scheme.probe(seq), "<probe>", "eval")
+        index = scheme.probe(seq)
+        code = compile(index, "<probe>", "eval")
         names = {"val": _val, "hash": scheme.hash}
+        local = {"text": seq}
+        if "low[" in index:  # bound as the generated search binds it
+            exec(_LOW, names, local)
         for pos in range(scheme.suffix_size - 1, len(seq)):
-            got = eval(index, names, {"text": seq, "pos": pos})
+            local["pos"] = pos
+            got = eval(code, names, local)
             assert got == scheme.hash(seq, pos), (seq, pos)
 
 
@@ -119,21 +126,34 @@ def test_probe_specializes_buffers_and_strings():
              memoryview(b"ab").cast("c"), memoryview(array("H"))]
     for scheme in SCHEMES.values():
         assert all(isinstance(scheme.probe(seq), str) for seq in kinds)
-    # byte buffers share the unmasked index; other int buffers, signed
-    # bytes included, share the masked one
-    byte_index, int_index = BYTE.probe(b"ab"), BYTE.probe(array("H"))
+    # byte buffers share the unmasked index; signed bytes and int buffers
+    # that cannot take the low-byte index share the masked one
+    byte_index, int_index = BYTE.probe(b"ab"), BYTE.probe(array("b"))
     assert byte_index != int_index
     for seq in (bytearray(), array("B"), memoryview(b"ab")):
         assert BYTE.probe(seq) == byte_index
-    assert BYTE.probe(array("b")) == int_index
+    strided = memoryview(array("H", [1, 2, 3]))[::2]
+    assert BYTE.probe(strided) == int_index
     assert MOD256.probe(memoryview(array("H"))) == MOD256.probe(array("H"))
     # mask 1023 keeps every byte value, so bytes skip it; a mask that
     # drops byte bits, or a wider window, masks bytes too
     wide, low = _PROBED["wide1023"], _PROBED["low15"]
     assert wide.probe(b"") != wide.probe(array("H"))
-    assert low.probe(b"") == low.probe(array("H"))
-    assert _PROBED["low127"].probe(b"") == _PROBED["low127"].probe(array("H"))
-    assert DNA4.probe(bytearray()) == DNA4.probe(array("H"))
+    assert low.probe(b"") == low.probe(array("b"))
+    assert _PROBED["low127"].probe(b"") == _PROBED["low127"].probe(array("b"))
+    assert DNA4.probe(bytearray()) == DNA4.probe(array("b"))
+    # wide int buffers read the low byte where the mask clears every bit
+    # above it: the byte index over `low`.  Signed bytes, strided views,
+    # DNA3 (mask 511) and mask 1023 read the whole symbol
+    for scheme in (MOD256, DNA4, low, _PROBED["low127"]):
+        for seq in (array("H"), array("h"), array("Q"), memoryview(array("I"))):
+            assert (scheme.probe(seq)
+                    == scheme.probe(b"").replace("text[", "low[")), seq
+    assert MOD256.probe(array("H")) == "low[pos]"
+    assert "text[" not in DNA4.probe(array("H"))
+    for scheme, seq in [(MOD256, array("b")), (MOD256, strided),
+                        (DNA3, array("H")), (wide, array("H"))]:
+        assert "text[" in scheme.probe(seq) and "low[" not in scheme.probe(seq)
     # str gets the ord index; any other symbols go through val
     generic = BYTE.probe([1, 2])
     assert generic not in (byte_index, int_index) and "val(" in generic

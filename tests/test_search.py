@@ -8,14 +8,15 @@ import sys
 from array import array
 
 import pytest
-from oracles import naive_find
+from oracles import naive_find, wide_ints
 
 from seqmatch import search
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, ZERO, HashScheme,
-                      ReusableSkipTable, SearchOutcome, dispatch_search,
-                      naive_search, random16_text, resolve_algorithm,
-                      run_counted, search_al, search_hal, search_kmp_basic,
-                      search_l, search_nhal, search_sf)
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, MOD256, ZERO,
+                      HashScheme, ReusableSkipTable, SearchOutcome,
+                      compute_skip, dispatch_search, naive_search,
+                      random16_text, resolve_algorithm, run_counted,
+                      search_al, search_hal, search_kmp_basic, search_l,
+                      search_nhal, search_sf)
 
 ALL = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
 
@@ -251,6 +252,27 @@ def test_nhal_matches_hal_mod256_on_16bit_data():
             pattern = array("H", [rng.randrange(1 << 16) for _ in range(m)])
         assert (search_nhal(text, pattern, table).position
                 == search_hal(text, pattern).position)
+
+
+def test_no_byte_view_outlives_its_call():
+    # a low-byte probe reads a view of its array, and an array with a
+    # view cannot be resized: every search and table build drops its view
+    # before it returns, found or not
+    text = wide_ints("H", b"xxabcdxxabxx" * 20)
+    assert "low[" in MOD256.probe(text) and "low[" in DNA4.probe(text)
+    calls = [search_hal, dispatch_search, search_al,
+             lambda t, p: search_hal(t, p, DNA4),
+             lambda t, p: compute_skip(p, MOD256, len(t)),
+             lambda t, p: compute_skip(p, DNA4, len(t))]
+    for want, symbols in [(2, b"abcd"), (None, b"abzz")]:
+        for call in calls:
+            pattern = wide_ints("H", symbols)
+            outcome = call(text, pattern)
+            if isinstance(outcome, SearchOutcome):
+                assert outcome.position == want
+            text.append(0)
+            pattern.append(0)
+            del text[-1]
 
 
 def test_nhal_rejects_out_of_domain_patterns():

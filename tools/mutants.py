@@ -88,6 +88,13 @@ MUTANTS = {
         "schemes.py", "mask >> x]", "mask >> x + 1]"),
     "val-index-dead-terms": (
         "schemes.py", '"val({})", every=True)', '"val({})")'),
+    "low-byte-offset": (
+        "schemes.py", '0 if sys.byteorder == "little" else "text.itemsize - 1"',
+        '"text.itemsize - 1" if sys.byteorder == "little" else 0'),
+    "low-index-guard": (
+        "schemes.py", "mask >> min(shifts) < 256", "mask >> min(shifts) < 512"),
+    "low-view-strided": (
+        "schemes.py", "or seq.c_contiguous and", "or"),
     "skip-default-shift": (
         "tables.py", "[m - s + 1]", "[m - s + 2]"),
     "skip-adjustment": (
