@@ -155,6 +155,8 @@ def cmd_bench(args):
     """``bench`` and ``count``: one plan, one harness, one TSV report."""
     try:
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+        if not algos:
+            raise ValueError("no algorithms given")
         scheme = _validate_names(algos, args.scheme)
         sizes = (parse_sizes(args.sizes) if args.sizes else
                  _KINDS[args.kind].pattern_sizes)
@@ -214,6 +216,8 @@ def _disagrees(fns, text, pattern, label):
 
 
 def cmd_selftest(args):
+    if args.fuzz < 0:
+        return _fail(f"--fuzz takes a count of 0 or more, not {args.fuzz}")
     try:
         source = (Path(args.file) if args.file else
                   resources.files("seqmatch").joinpath("data/small.txt"))

@@ -35,12 +35,17 @@ loop (``_compiled``), so the view lives only while the call runs.  The
 index for any other symbols, through ``val``, keeps every term: counted
 runs read through it, so they read every window symbol, and the
 scheme's ``hash`` is that index, compiled.
+
+``_compiled`` is the one place that compiles generated code: each hash,
+window list and skip search is compiled per distinct template, probe
+index and skew, and kept in one ``lru_cache`` of 128 entries, so equal
+schemes share their ``hash`` and equal indexes share their searches.
 """
 
 import operator
 import sys
 from array import array
-from functools import partial
+from functools import lru_cache, partial
 from io import IOBase
 from itertools import chain
 from mmap import mmap
@@ -81,14 +86,16 @@ _LOW = "low = memoryview(text).cast('B')[{}::text.itemsize]".format(
     0 if sys.byteorder == "little" else "text.itemsize - 1")
 
 
-def _compiled(template, name, index, **fields):
-    # the function `name` that `template` defines, with `val` bound and
-    # the probe index `index` in its `{index}` slots: every generated hash,
-    # window list and skip search.  Its `{low}` line, before the index's
-    # loop, binds `low` when the index reads it
+@lru_cache(maxsize=128)
+def _compiled(template, name, index, skew=""):
+    # the function `name` that `template` defines, with `val` bound, the
+    # probe index `index` in its `{index}` slots and `skew` in its `{skew}`
+    # slot: every generated hash, window list and skip search.  Its
+    # `{low}` line, before the index's loop, binds `low` when the index
+    # reads it
     names = {"val": _val}
     exec(template.format(index=index, low=_LOW if "low[" in index else "",
-                         **fields), names)
+                         skew=skew), names)
     return names[name]
 
 

@@ -10,7 +10,8 @@ loop that advances the alignment by occurrence-table lookups, probing
 one hashed window per stop instead of comparing elements.  Every such
 search is generated from one template, ``_SKIP_SEARCH``, with the skip
 loop's probe index written inline: the source that the scheme's
-``probe(text)`` returns, compiled once per distinct index.  ``nhal``
+``probe(text)`` returns, compiled per distinct index and kept in the
+one bounded cache of generated code (``schemes._compiled``).  ``nhal``
 drops the hash in favor of a full 16-bit-alphabet table, skewed so that
 zero means "default shift" and one zero-filled table serves many
 searches; it runs the same template with the skew added to each step.
@@ -266,14 +267,9 @@ def bind(pattern, shifts, table, hash, skew):
 """
 
 
-def _generate(index, skew=""):
-    return _compiled(_SKIP_SEARCH, "bind", index, skew=skew)
-
-
-# hashed searches compile the template once per probe index; nhal's
-# unhashed, skewed search once, at import
-_skip_search = lru_cache(maxsize=64)(_generate)
-_nhal_search = _generate("text[pos]", " + skew")
+# nhal's unhashed, skewed search, compiled once, at import; `_bind`
+# compiles the hashed ones per probe index through the same cache
+_nhal_search = _compiled(_SKIP_SEARCH, "bind", "text[pos]", " + skew")
 
 
 def _bind(text, pattern, scheme, size_bits):
@@ -289,7 +285,7 @@ def _bind(text, pattern, scheme, size_bits):
     shifts = compute_next(pattern)
     if s == 0 or len(pattern) < s:
         return lambda text, n: _l(text, pattern, shifts)
-    return _skip_search(scheme.probe(text))(
+    return _compiled(_SKIP_SEARCH, "bind", scheme.probe(text))(
         pattern, shifts, compute_skip(pattern, scheme, (1 << size_bits) - 1),
         scheme.hash, 0)
 

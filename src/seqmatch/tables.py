@@ -9,7 +9,6 @@ alignment may jump.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import EmptyPattern, SuffixTooLong
 from .schemes import _compiled
@@ -80,13 +79,10 @@ def _fill_skip(slots, hashes, m, skew, text_size):
 
 
 # the hashes of the windows of `text` ending at lo .. hi - 1, as the skip
-# loop probes them: one list comprehension over a probe index, compiled
-# once per index, with `hash` bound for generic schemes
-@lru_cache(maxsize=64)
-def _windows(index):
-    return _compiled("def windows(text, hash, lo, hi):\n    {low}\n"
-                     "    return [{index} for pos in range(lo, hi)]\n",
-                     "windows", index)
+# loop probes them: one list comprehension over a probe index, with
+# `hash` bound for generic schemes, compiled by `schemes._compiled`
+_WINDOWS = ("def windows(text, hash, lo, hi):\n    {low}\n"
+            "    return [{index} for pos in range(lo, hi)]\n")
 
 
 # signature kept: perfbench's traced run times this call directly
@@ -108,5 +104,6 @@ def compute_skip(pattern, scheme, text_size):
     if m < s:
         raise SuffixTooLong(f"pattern size {m} is below suffix size {s}")
     shifts = [m - s + 1] * scheme.hash_range_max
-    keys = _windows(scheme.probe(pattern))(pattern, scheme.hash, s - 1, m)
+    keys = _compiled(_WINDOWS, "windows", scheme.probe(pattern))(
+        pattern, scheme.hash, s - 1, m)
     return _fill_skip(shifts, keys, m, 0, text_size)

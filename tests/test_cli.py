@@ -198,6 +198,25 @@ def test_count_rejects_empty_plan(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, algos", [("bench", ","), ("count", " ")])
+def test_bench_and_count_reject_an_empty_algorithm_list(command, algos,
+                                                        tmp_path, capsys):
+    # a run over no algorithm would write a report with no search in it
+    out = tmp_path / "report.tsv"
+    args = [command, "--kind", "text", "--size", "3000", "--sizes", "4",
+            "--tests", "2", "--algos", algos, "--out", str(out)]
+    assert main(args + (["--no-timing"] if command == "bench" else [])) == 2
+    assert capsys.readouterr().err == "error: no algorithms given\n"
+    assert not out.exists()
+
+
+def test_selftest_rejects_a_negative_fuzz_count(capsys):
+    assert main(["selftest", "--fuzz", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --fuzz ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["bench", "count"])
 def test_bench_and_count_default_sizes_per_kind(command, monkeypatch, capsys):
     # with no --size or --sizes each kind has its own corpus size and

@@ -10,9 +10,10 @@ from array import array
 import pytest
 from oracles import naive_find, wide_ints
 
-from seqmatch import search
+from seqmatch import schemes, search
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, MOD256, ZERO,
                       HashScheme, ReusableSkipTable, SearchOutcome,
+                      ShiftSumScheme,
                       compute_skip, dispatch_search, naive_search,
                       random16_text, resolve_algorithm, run_counted,
                       search_al, search_hal, search_kmp_basic, search_l,
@@ -273,6 +274,57 @@ def test_no_byte_view_outlives_its_call():
             text.append(0)
             pattern.append(0)
             del text[-1]
+
+
+def test_generated_code_is_compiled_once_per_key():
+    # every generated hash, window list and skip search comes from one
+    # cache, keyed by template, name, probe index and skew
+    compiled = schemes._compiled
+    assert (ShiftSumScheme((0, 2, 4, 6), 255).hash
+            is ShiftSumScheme((0, 2, 4, 6), 255).hash)
+    text, pattern = b"xxabcdxxabxx" * 20, b"abcd"
+    assert search_hal(text, pattern, BYTE).position == 2
+    before = compiled.cache_info()
+    assert search_hal(bytearray(text), bytearray(pattern), BYTE).position == 2
+    after = compiled.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+    # nhal's skewed search reads the same index as BYTE's unskewed one
+    unskewed = compiled(search._SKIP_SEARCH, "bind", BYTE.probe(text))
+    assert unskewed is not search._nhal_search
+    rng = random.Random(22)
+    for _ in range(40):
+        text = bytes(rng.choices(b"abc", k=rng.randint(2, 200)))
+        m = rng.randint(2, len(text))
+        start = rng.randrange(len(text) - m + 1)
+        for pattern in (text[start:start + m], bytes(rng.choices(b"abc", k=m))):
+            want = naive_find(text, pattern)
+            assert search_nhal(text, pattern).position == want
+            assert search_hal(text, pattern, BYTE).position == want
+
+
+def test_generated_code_cache_stays_within_its_bound():
+    compiled = schemes._compiled
+    bound = compiled.cache_info().maxsize
+    misses = compiled.cache_info().misses
+    rng = random.Random(23)
+    text = bytes(rng.choices(b"acgt", k=400))
+    for _ in range(80):  # each scheme compiles a hash and its searches
+        shifts = rng.sample(range(9), rng.randint(1, 4))
+        scheme = ShiftSumScheme(shifts, rng.choice((63, 255, 511, 1023)))
+        m = rng.randint(max(2, len(shifts)), 24)
+        start = rng.randrange(len(text) - m + 1)
+        for pattern in (text[start:start + m], bytes(rng.choices(b"acgt", k=m))):
+            assert (search_hal(text, pattern, scheme).position
+                    == naive_find(text, pattern))
+            assert (search_hal(text.decode(), pattern.decode(), scheme).position
+                    == naive_find(text, pattern))
+        assert compiled.cache_info().currsize <= bound
+    assert compiled.cache_info().misses > misses + bound
+    # evicted searches compile again and still agree with the oracle
+    for call in (search_hal, search_al, search_nhal, dispatch_search,
+                 lambda t, p: search_hal(t, p, DNA4)):
+        for pattern in (b"acgtac", text[100:120], text[-30:]):
+            assert call(text, pattern).position == naive_find(text, pattern)
 
 
 def test_nhal_rejects_out_of_domain_patterns():

@@ -68,13 +68,14 @@ MUTANTS = {
     "nhal-no-release": (
         "search.py", "        table.lock.release()\n", ""),
     "nhal-step-skew": (
-        "search.py", '_generate("text[pos]", " + skew")',
-        '_generate("text[pos]")'),
+        "search.py", '"text[pos]", " + skew")', '"text[pos]")'),
     "loop-bound": (
         "search.py", "while pos < n:", "while pos <= n:"),
     "generic-index": (
         "schemes.py", 'return "hash(text, pos)"',
         'return "hash(text, pos - 1)"'),
+    "compile-cache": (
+        "schemes.py", "@lru_cache(maxsize=128)\n", ""),
     "byte-index-mask-127": (
         "schemes.py", "mask & 255 == 255", "mask & 127 == 127"),
     "skip-window-range": (
