@@ -157,6 +157,8 @@ def cmd_bench(args):
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
         if not algos:
             raise ValueError("no algorithms given")
+        if getattr(args, "min_cell_ms", 0) < 0:
+            raise ValueError("--min-cell-ms takes 0 or more milliseconds")
         scheme = _validate_names(algos, args.scheme)
         sizes = (parse_sizes(args.sizes) if args.sizes else
                  _KINDS[args.kind].pattern_sizes)

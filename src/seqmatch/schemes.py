@@ -36,6 +36,18 @@ index for any other symbols, through ``val``, keeps every term: counted
 runs read through it, so they read every window symbol, and the
 scheme's ``hash`` is that index, compiled.
 
+The byte and low-byte indexes of a scheme with two or more live terms
+and a mask of the form ``2**k - 1`` up to ``_TABLE_MASK`` (511, DNA3's)
+do no int arithmetic: they chain lookups into combine tables, one per
+live term after the oldest, so DNA4's byte index is
+``_add_0_6_255[text[pos]][_add_0_4_255[text[pos - 1]][_add_0_2_255[
+text[pos - 2]][text[pos - 3]]]]``.  ``_add_x0_x_mask[c][h]`` is ``((h <<
+x0) + (c << x)) & mask``: only such a mask lets the sum be masked one
+term at a time.  A table is built by the first compile of an index that
+names it, not at import, and shared by every index that names it (DNA4
+and DNA5 read the same three), and its rows are shared where their
+values are equal.  ``_compiled`` binds the tables an index names.
+
 ``_compiled`` is the one place that compiles generated code: each hash,
 window list and skip search is compiled per distinct template, probe
 index and skew, and kept in one ``lru_cache`` of 128 entries, so equal
@@ -43,6 +55,7 @@ schemes share their ``hash`` and equal indexes share their searches.
 """
 
 import operator
+import re
 import sys
 from array import array
 from functools import lru_cache, partial
@@ -88,27 +101,73 @@ _LOW = "low = memoryview(text).cast('B')[{}::text.itemsize]".format(
 
 @lru_cache(maxsize=128)
 def _compiled(template, name, index, skew=""):
-    # the function `name` that `template` defines, with `val` bound, the
-    # probe index `index` in its `{index}` slots and `skew` in its `{skew}`
-    # slot: every generated hash, window list and skip search.  Its
-    # `{low}` line, before the index's loop, binds `low` when the index
-    # reads it
-    names = {"val": _val}
+    # the function `name` that `template` defines, with `val` and the
+    # combine tables that `index` reads bound, the probe index `index` in
+    # its `{index}` slots and `skew` in its `{skew}` slot: every generated
+    # hash, window list and skip search.  Its `{low}` line, before the
+    # index's loop, binds `low` when the index reads it
+    names = {"val": _val, **_tables(index)}
     exec(template.format(index=index, low=_LOW if "low[" in index else "",
                          skew=skew), names)
     return names[name]
 
 
+# the largest mask that a combine table serves, DNA3's: a table is 256
+# rows of at most _TABLE_MASK + 1 values
+_TABLE_MASK = 511
+_TABLE_NAME = r"_add_(\d+)_(\d+)_(\d+)"  # compiled by its first use
+_VALUES = list(range(_TABLE_MASK + 1))  # every row's values, one int each
+
+
+def _tables(index):
+    # the combine tables that `index` reads, by name, each built by its
+    # first compile and shared by every index that names it; lru_cache
+    # publishes a table only once it is whole
+    return {found[0]: _table(*map(int, found.groups()))
+            for found in re.finditer(_TABLE_NAME, index)}
+
+
+@lru_cache(maxsize=None)  # finite: masks <= _TABLE_MASK, live shifts < 9
+def _table(x0, x1, mask):
+    # table[c][h] == ((h << x0) + (c << x1)) & mask for a byte c and any h
+    # up to max(mask, 255): a 2**k - 1 mask lets the window's terms be
+    # added one table at a time.  Rows with equal (c << x1) & mask are one
+    # list, and their values the ints of one list
+    return [_row((c << x1) & mask, x0, mask) for c in range(256)]
+
+
+@lru_cache(maxsize=None)
+def _row(v, x0, mask):
+    return [_VALUES[((h << x0) + v) & mask] for h in range((mask | 255) + 1)]
+
+
+def _terms(shifts, mask, every):
+    # each window symbol's read of text, oldest first, with its shift.  A
+    # term with mask >> x == 0 only adds bits the mask clears, so it is
+    # left out unless `every`
+    last = len(shifts) - 1
+    return [("text[pos]" if i == last else f"text[pos - {last - i}]", x)
+            for i, x in enumerate(shifts) if every or mask >> x]
+
+
 def _index(shifts, mask, read, every=False):
     # the shift-sum window hash as source over `text` and `pos`; `read`
-    # wraps each window symbol text[i], oldest first, and `* 2**x` is its
-    # shift.  A term with mask >> x == 0 only adds bits the mask clears,
-    # so it is left out unless `every`; with no term left the index is 0
-    last = len(shifts) - 1
-    terms = [read.format("text[pos]" if i == last else f"text[pos - {last - i}]")
-             + (f" * {1 << x}" if x else "")
-             for i, x in enumerate(shifts) if every or mask >> x]
+    # wraps each window symbol and `* 2**x` is its shift; with no term
+    # left the index is 0
+    terms = [read.format(symbol) + (f" * {1 << x}" if x else "")
+             for symbol, x in _terms(shifts, mask, every)]
     return f"({' + '.join(terms)}) & {mask}" if terms else "0"
+
+
+def _table_index(shifts, mask):
+    # the byte index as a chain of combine-table lookups, one per live
+    # term after the oldest, or None where a table does not serve
+    (index, x0), *rest = _terms(shifts, mask, False) or [(None, 0)]
+    if mask & (mask + 1) or mask > _TABLE_MASK or not rest:
+        return None
+    for symbol, x in rest:  # the oldest term's shift, then plain sums
+        index, x0 = f"_add_{x0}_{x}_{mask}[{symbol}][{index}]", 0
+    return index
 
 
 class HashScheme:
@@ -161,9 +220,10 @@ class ShiftSumScheme(HashScheme):
                               "hash", self._val_index)
         self._int_index = _index(shifts, mask, "{}")
         self._str_index = _index(shifts, mask, "ord({})")
-        # a byte indexes the table itself when the mask keeps all its bits
+        # a byte indexes the table itself when the mask keeps all its bits,
+        # and takes the combine tables where they serve
         self._byte_index = ("text[pos]" if shifts == (0,) and mask & 255 == 255
-                            else self._int_index)
+                            else _table_index(shifts, mask) or self._int_index)
         # a mask that clears every bit above each term's low byte needs
         # only the low byte of a wide int symbol
         self._low_index = (self._byte_index.replace("text[", "low[")
@@ -175,7 +235,10 @@ class ShiftSumScheme(HashScheme):
         leaves out a mask that keeps every byte value, and all but the
         ``val`` index leave out the terms that the mask zeroes.  Arrays
         and contiguous 1-D memoryviews of ints wider than a byte get the
-        low-byte index, which reads ``low``, where the mask allows it."""
+        low-byte index, which reads ``low``, where the mask allows it.
+        Where the mask is ``2**k - 1``, at most 511, and two or more
+        terms are live, the byte and low-byte indexes chain lookups into
+        the combine tables ``_add_*`` in place of the sum."""
         fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
                seq.typecode if isinstance(seq, array) else
                seq.format if isinstance(seq, memoryview) else None)

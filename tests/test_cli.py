@@ -210,6 +210,21 @@ def test_bench_and_count_reject_an_empty_algorithm_list(command, algos,
     assert not out.exists()
 
 
+def test_bench_rejects_a_negative_minimum_cell_time(tmp_path, capsys,
+                                                  monkeypatch):
+    # refused before the corpus is read or generated
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus loaded")
+    monkeypatch.setattr(cli, "load_corpus", no_corpus)
+    out = tmp_path / "report.tsv"
+    assert main(["bench", "--kind", "text", "--size", "3000", "--sizes", "4",
+                 "--tests", "2", "--min-cell-ms", "-5",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --min-cell-ms takes 0 or more milliseconds\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_selftest_rejects_a_negative_fuzz_count(capsys):
     assert main(["selftest", "--fuzz", "-3"]) == 2
     captured = capsys.readouterr()

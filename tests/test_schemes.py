@@ -6,7 +6,7 @@ from oracles import wide_ints
 
 from seqmatch import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
                       WORD_HEAD, ZERO, ShiftSumScheme, default_scheme_for)
-from seqmatch.schemes import _LOW, _val
+from seqmatch.schemes import _LOW, _tables, _val
 
 _RANGED = {name: s for name, s in SCHEMES.items() if s is not ZERO}
 _SHIFT_SUMS = {name: s for name, s in SCHEMES.items()
@@ -95,11 +95,12 @@ def test_probe_agrees_with_hash(scheme):
             memoryview(wide_ints("H", values)),
             memoryview(wide_ints("H", values * 2))[::2]]
     # each kind's probe index, evaluated as the skip search evaluates it,
-    # is the scheme's hash of the window ending at pos
+    # with the combine tables it reads bound as `_compiled` binds them, is
+    # the scheme's hash of the window ending at pos
     for seq in seqs:
         index = scheme.probe(seq)
         code = compile(index, "<probe>", "eval")
-        names = {"val": _val, "hash": scheme.hash}
+        names = {"val": _val, "hash": scheme.hash, **_tables(index)}
         local = {"text": seq}
         if "low[" in index:  # bound as the generated search binds it
             exec(_LOW, names, local)
@@ -141,7 +142,26 @@ def test_probe_specializes_buffers_and_strings():
     assert wide.probe(b"") != wide.probe(array("H"))
     assert low.probe(b"") == low.probe(array("b"))
     assert _PROBED["low127"].probe(b"") == _PROBED["low127"].probe(array("b"))
-    assert DNA4.probe(bytearray()) == DNA4.probe(array("b"))
+    # DNA2..DNA5 read byte buffers and low bytes through combine tables,
+    # with no int arithmetic; signed bytes keep the arithmetic index
+    for scheme in (DNA2, DNA3, DNA4, DNA5):
+        for seq in (bytearray(), array("B"), memoryview(b"")):
+            assert scheme.probe(seq) == scheme.probe(b"")
+        table_indexes = [scheme.probe(b"")]
+        if scheme is not DNA3:  # mask 511 reads the whole symbol
+            table_indexes.append(scheme.probe(array("H")))
+        for index in table_indexes:
+            assert "_add_" in index and not any(op in index for op in "*&")
+        for seq in (array("b"), "", []):
+            assert "*" in scheme.probe(seq) and "_add_" not in scheme.probe(seq)
+    assert DNA3.probe(array("H")) == DNA3.probe(array("b"))
+    # the int, str and val indexes are the arithmetic ones
+    terms = "text[pos - 3] + text[pos - 2] * 4 + text[pos - 1] * 16 + text[pos] * 64"
+    assert DNA4.probe(array("b")) == f"({terms}) & 255"
+    assert DNA4.probe("") == "({}) & 255".format(
+        terms.replace("text[", "ord(text[").replace("]", "])"))
+    assert DNA4.probe([]) == "({}) & 255".format(
+        terms.replace("text[", "val(text[").replace("]", "])"))
     # wide int buffers read the low byte where the mask clears every bit
     # above it: the byte index over `low`.  Signed bytes, strided views,
     # DNA3 (mask 511) and mask 1023 read the whole symbol

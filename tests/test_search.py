@@ -11,13 +11,14 @@ import pytest
 from oracles import naive_find, wide_ints
 
 from seqmatch import schemes, search
-from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA4, MOD256, ZERO,
-                      HashScheme, ReusableSkipTable, SearchOutcome,
+from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA3, DNA4, DNA5, MOD256,
+                      ZERO, HashScheme, ReusableSkipTable, SearchOutcome,
                       ShiftSumScheme,
                       compute_skip, dispatch_search, naive_search,
                       random16_text, resolve_algorithm, run_counted,
                       search_al, search_hal, search_kmp_basic, search_l,
                       search_nhal, search_sf)
+from seqmatch.tables import _fill_skip
 
 ALL = [(name, resolve_algorithm(name)) for name in ALGORITHM_NAMES]
 
@@ -325,6 +326,145 @@ def test_generated_code_cache_stays_within_its_bound():
                  lambda t, p: search_hal(t, p, DNA4)):
         for pattern in (b"acgtac", text[100:120], text[-30:]):
             assert call(text, pattern).position == naive_find(text, pattern)
+
+
+def _live_terms(scheme):
+    return sum(1 for x in scheme.shifts if scheme.mask >> x)
+
+
+def test_combine_tables_hash_and_search_as_the_arithmetic_does(tmp_path):
+    # every 2**k - 1 mask up to the cap, with sampled shifts (dead terms
+    # included), beside masks of another form and masks above the cap
+    rng = random.Random(23)
+    schemes_ = [ShiftSumScheme(rng.choices(range(11), k=rng.randint(1, 5)),
+                               (1 << k) - 1)
+                for k in range(schemes._TABLE_MASK.bit_length() + 1)
+                for _ in range(5)]
+    schemes_ += [ShiftSumScheme((0, 2, 4), mask)
+                 for mask in (2, 5, 100, 254, 256, 1023, 2047)]
+    schemes_ += [ShiftSumScheme((1, 3), 511), ShiftSumScheme((3, 0, 5), 15)]
+    values = [rng.randrange(256) for _ in range(60)] + [255, 0, 128, 255]
+    index_texts = [bytes(values), wide_ints("H", values)]
+    data = bytes(rng.choices(b"ac\x8f\xfe", k=300))
+    with mmap.mmap(-1, len(data)) as mapped:
+        mapped.write(data)
+        for scheme in schemes_:
+            mask = scheme.mask
+            tabled = (not mask & (mask + 1) and mask <= schemes._TABLE_MASK
+                      and _live_terms(scheme) >= 2)
+            assert ("_add_" in scheme.probe(b"")) == tabled, scheme.shifts
+            if not tabled:
+                assert "_add_" not in scheme.probe(array("H"))
+            for text in index_texts:
+                index = scheme.probe(text)
+                names = {"val": schemes._val, **schemes._tables(index)}
+                local = {"text": text}
+                if "low[" in index:
+                    exec(schemes._LOW, names, local)
+                code = compile(index, "<probe>", "eval")
+                for pos in range(scheme.suffix_size - 1, len(text)):
+                    local["pos"] = pos
+                    assert (eval(code, names, local)
+                            == scheme.hash(text, pos)), (scheme.shifts, mask)
+            s = scheme.suffix_size
+            for _ in range(3):
+                m = rng.randint(max(2, s), 24)
+                start = rng.randrange(len(data) - m + 1)
+                for pattern in (data[start:start + m],
+                                bytes(rng.choices(b"ac\x8f\xfe", k=m))):
+                    want = naive_find(data, pattern)
+                    for text, pat in [(data, pattern),
+                                      (bytearray(data), bytearray(pattern)),
+                                      (wide_ints("H", data),
+                                       wide_ints("H", pattern)),
+                                      (mapped, pattern)]:
+                        assert (search_hal(text, pat, scheme).position
+                                == want), (type(text), scheme.shifts, mask)
+                    slots = [m - s + 1] * scheme.hash_range_max
+                    hashes = [scheme.hash(pattern, j) for j in range(s - 1, m)]
+                    assert (compute_skip(pattern, scheme, len(data)).shifts
+                            == _fill_skip(slots, hashes, m, 0, len(data)).shifts)
+
+
+def test_combine_tables_are_lazy_shared_and_bounded():
+    code = """\
+from array import array
+from seqmatch import BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, schemes
+from seqmatch import dispatch_search, search_hal
+built = schemes._table.cache_info
+text, pattern = b"xxacgtacgtxx" * 40, b"acgtacgt"
+wide = array("H", list(text))
+assert built().currsize == 0, "import"
+for scheme in (BYTE, MOD256):
+    for t, p in [(text, pattern), (wide, array("H", list(pattern)))]:
+        assert search_hal(t, p, scheme).position == 2
+        assert dispatch_search(t, p).position == 2
+assert built().currsize == 0, "BYTE and MOD256"
+assert search_hal(text, pattern, DNA4).position == 2
+tables = built().currsize
+assert search_hal(text, pattern, DNA5).position == 2
+assert search_hal(wide, array("H", list(pattern)), DNA5).position == 2
+assert built().currsize == tables == 3, "DNA5 shares DNA4's tables"
+dna4, dna5 = (schemes._tables(s.probe(text)) for s in (DNA4, DNA5))
+assert dna4.keys() == dna5.keys()
+assert all(dna4[name] is dna5[name] for name in dna4)
+for scheme in (DNA2, DNA3):
+    assert search_hal(text, pattern, scheme).position == 2
+print(schemes._row.cache_info().currsize)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # rows with equal (c << x) & mask are one list: DNA2 (mask 63) holds
+    # 8, DNA3 (mask 511) 64 and DNA4 and DNA5 (mask 255) 64 between them
+    assert int(proc.stdout) == 8 + 64 + 64
+    # any scheme's tables are 256 rows of at most _TABLE_MASK + 1 values,
+    # and the rows held are bounded by the cap: a mask of 2**k - 1 has k
+    # shifts with live terms, each with 2**k distinct rows at most
+    rng = random.Random(24)
+    text = bytes(rng.choices(b"acgt", k=400))
+    for _ in range(40):
+        scheme = ShiftSumScheme(rng.choices(range(10), k=rng.randint(2, 5)),
+                                rng.choice((1, 3, 15, 63, 127, 255, 511)))
+        assert (search_hal(text, text[100:120], scheme).position
+                == naive_find(text, text[100:120]))
+        for table in schemes._tables(scheme.probe(text)).values():
+            assert len(table) == 256
+            assert all(len(row) == (scheme.mask | 255) + 1 for row in table)
+            assert max(map(max, table)) <= scheme.mask
+    cap = schemes._TABLE_MASK.bit_length()
+    assert schemes._row.cache_info().currsize <= sum(
+        k << k for k in range(1, cap + 1))
+
+
+def test_combine_tables_built_by_concurrent_searches():
+    # with every cache emptied, 8 threads make the first DNA2..DNA5
+    # searches together, switching every microsecond, so several may
+    # build one table at once; each finds what the oracle finds
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(61)
+    text = bytes(rng.choices(b"acgt", k=20_000))
+    patterns = [text[o:o + m] for m in (12, 40)
+                for o in rng.sample(range(19_000), 6)]
+    patterns += [bytes(rng.choices(b"acgt", k=30)) for _ in range(3)]
+    want = [naive_find(text, p) for p in patterns]
+    schemes_ = [DNA2, DNA3, DNA4, DNA5]
+
+    def run(i):
+        return [search_hal(text, p, schemes_[i % 4]).position
+                for p in patterns]
+
+    for cache in (schemes._compiled, schemes._table, schemes._row):
+        cache.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(run, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [want] * 8
 
 
 def test_nhal_rejects_out_of_domain_patterns():

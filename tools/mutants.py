@@ -92,6 +92,14 @@ MUTANTS = {
     "low-byte-offset": (
         "schemes.py", '0 if sys.byteorder == "little" else "text.itemsize - 1"',
         '"text.itemsize - 1" if sys.byteorder == "little" else 0'),
+    "table-mask-form": (
+        "schemes.py", "if mask & (mask + 1) or mask >", "if mask >"),
+    "table-row-key": (
+        "schemes.py", "_row((c << x1) & mask,", "_row(c << x1,"),
+    "table-first-shift": (
+        "schemes.py", "((h << x0) + v)", "(h + v)"),
+    "table-later-shift": (
+        "schemes.py", '[{index}]", 0', '[{index}]", x0'),
     "low-index-guard": (
         "schemes.py", "mask >> min(shifts) < 256", "mask >> min(shifts) < 512"),
     "low-view-strided": (
