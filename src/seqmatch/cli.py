@@ -106,6 +106,8 @@ def _validate_names(algos, scheme):
     if scheme is not None and scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} "
                          f"(choose from {', '.join(SCHEMES)})")
+    if scheme is not None and algos and "hal" not in algos:
+        raise ValueError("--scheme applies to hal, and to find without --algo")
     return SCHEMES.get(scheme)
 
 

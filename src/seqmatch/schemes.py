@@ -49,9 +49,12 @@ and DNA5 read the same three), and its rows are shared where their
 values are equal.  ``_compiled`` binds the tables an index names.
 
 ``_compiled`` is the one place that compiles generated code: each hash,
-window list and skip search is compiled per distinct template, probe
-index and skew, and kept in one ``lru_cache`` of 128 entries, so equal
-schemes share their ``hash`` and equal indexes share their searches.
+window list and skip search is compiled per distinct template and probe
+index (a skip search's is its whole step), and kept in one
+``lru_cache`` of 128 entries, so equal schemes share their ``hash`` and
+equal indexes share their searches.  ``_int_width`` is the one rule for
+the buffers that a byte view reads: arrays and C-contiguous 1-D
+memoryviews of ints.
 """
 
 import operator
@@ -99,16 +102,24 @@ _LOW = "low = memoryview(text).cast('B')[{}::text.itemsize]".format(
     0 if sys.byteorder == "little" else "text.itemsize - 1")
 
 
+def _int_width(seq):
+    # the item size of an array or C-contiguous 1-D memoryview of ints,
+    # the int buffers whose low bytes `_LOW` can view; else 0
+    flat = isinstance(seq, memoryview) and seq.c_contiguous and seq.ndim == 1
+    fmt = seq.typecode if isinstance(seq, array) else flat and seq.format
+    return seq.itemsize if fmt in _INT_FORMATS else 0
+
+
 @lru_cache(maxsize=128)
-def _compiled(template, name, index, skew=""):
+def _compiled(template, name, index):
     # the function `name` that `template` defines, with `val` and the
-    # combine tables that `index` reads bound, the probe index `index` in
-    # its `{index}` slots and `skew` in its `{skew}` slot: every generated
-    # hash, window list and skip search.  Its `{low}` line, before the
-    # index's loop, binds `low` when the index reads it
+    # combine tables that `index` reads bound and the source `index` in
+    # its `{index}` slots (a probe index, or a skip search's whole step):
+    # every generated hash, window list and skip search.  Its `{low}`
+    # line, before the index's loop, binds `low` when the index reads it
     names = {"val": _val, **_tables(index)}
-    exec(template.format(index=index, low=_LOW if "low[" in index else "",
-                         skew=skew), names)
+    exec(template.format(index=index, low=_LOW if "low[" in index else ""),
+         names)
     return names[name]
 
 
@@ -245,10 +256,7 @@ class ShiftSumScheme(HashScheme):
         if fmt == "B":
             return self._byte_index
         if fmt in _INT_FORMATS:
-            # a byte view casts only from contiguous 1-D items
-            flat = isinstance(seq, array) or seq.c_contiguous and seq.ndim == 1
-            return self._low_index if flat and seq.itemsize > 1 else (
-                self._int_index)
+            return self._low_index if _int_width(seq) > 1 else self._int_index
         return self._str_index if isinstance(seq, str) else self._val_index
 
 

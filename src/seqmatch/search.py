@@ -15,6 +15,12 @@ one bounded cache of generated code (``schemes._compiled``).  ``nhal``
 drops the hash in favor of a full 16-bit-alphabet table, skewed so that
 zero means "default shift" and one zero-filled table serves many
 searches; it runs the same template with the skew added to each step.
+Over an array or contiguous 1-D memoryview of 16-bit ints, nhal's step
+first reads a 256-slot guard at the symbol's low byte: ``m``, the
+table's shift for every symbol whose low byte no pattern symbol shares,
+or 0, which sends the step on to the full table.  Only those steps read
+the full symbol, a new int object wherever it exceeds 256, and every
+shift is the one the table gives.
 Every skip table, hashed or not, comes from one builder,
 ``tables._fill_skip``.
 
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _compiled,
-                      _items, default_scheme_for)
+                      _int_width, _items, default_scheme_for)
 from .tables import _fill_skip, compute_next, compute_skip
 
 
@@ -215,11 +221,12 @@ def search_l(text, pattern):
 # `bind(pattern, shifts, table, hash, skew)` returns `find(text, n)`, for
 # 2 <= m <= n = len(text), with the pattern, its failure links `shifts`,
 # its `SkipTable` (built for a text size of at least n), the scheme's
-# `hash` and nhal's `skew` bound as positional defaults, read as fast
-# locals.  The skip loop probes `{index}`, a scheme's probe(text), inline;
-# `{low}` binds the byte view a low-byte index reads, and `{skew}` adds
-# nhal's skew to each step.  Only a tail hit stops the loop at n + m or
-# beyond.
+# `hash` (for nhal over 16-bit ints, its low-byte guard) and nhal's
+# `skew` bound as positional defaults, read as fast locals.  The skip
+# loop adds `{index}`, its step, inline: `skip[<index>]` with a scheme's
+# probe(text) for hal, `skip[text[pos]] + skew` for nhal, after the guard
+# where it has one; `{low}` binds the byte view a low-byte read needs.
+# Only a tail hit stops the loop at n + m or beyond.
 _SKIP_SEARCH = """\
 def bind(pattern, shifts, table, hash, skew):
     def find(text, n, pattern=pattern, m=len(pattern), first=pattern[0],
@@ -231,7 +238,7 @@ def bind(pattern, shifts, table, hash, skew):
         while True:
             pos = k + m - 1
             while pos < n:
-                pos += skip[{index}]{skew}
+                pos += {index}
             if pos < n + m:
                 return None  # ran off the end without a tail match
             k = pos - adjustment
@@ -267,9 +274,12 @@ def bind(pattern, shifts, table, hash, skew):
 """
 
 
-# nhal's unhashed, skewed search, compiled once, at import; `_bind`
-# compiles the hashed ones per probe index through the same cache
-_nhal_search = _compiled(_SKIP_SEARCH, "bind", "text[pos]", " + skew")
+# nhal's unhashed, skewed searches, compiled once, at import: the guarded
+# one reads the full table only where the guard at the low byte reads 0;
+# `_bind` compiles the hashed ones per probe index through the same cache
+_STEP = "skip[text[pos]] + skew"
+_nhal_search = _compiled(_SKIP_SEARCH, "bind", _STEP)
+_guarded_search = _compiled(_SKIP_SEARCH, "bind", "hash[low[pos]] or " + _STEP)
 
 
 def _bind(text, pattern, scheme, size_bits):
@@ -285,7 +295,7 @@ def _bind(text, pattern, scheme, size_bits):
     shifts = compute_next(pattern)
     if s == 0 or len(pattern) < s:
         return lambda text, n: _l(text, pattern, shifts)
-    return _compiled(_SKIP_SEARCH, "bind", scheme.probe(text))(
+    return _compiled(_SKIP_SEARCH, "bind", f"skip[{scheme.probe(text)}]")(
         pattern, shifts, compute_skip(pattern, scheme, (1 << size_bits) - 1),
         scheme.hash, 0)
 
@@ -343,15 +353,20 @@ class ReusableSkipTable:
 
 
 def _nhal(text, pattern, n, m, table):
+    # 16-bit int items, none of them 2**16 or above, get the low-byte guard
+    guard = [m] * 256 if _int_width(text) == 2 else None
+    if guard:
+        for j in range(m):
+            guard[pattern[j] & 255] = 0
     if not table.lock.acquire(blocking=False):
         table = ReusableSkipTable()  # busy: search a private table
         table.lock.acquire()
     slots = table.slots
     skew = m  # suffix size 1, so the default shift is m - 1 + 1
     try:
-        return _nhal_search(pattern, compute_next(pattern),
-                            _fill_skip(slots, pattern, m, skew, n),
-                            None, skew)(text, n)
+        return (_guarded_search if guard else _nhal_search)(
+            pattern, compute_next(pattern),
+            _fill_skip(slots, pattern, m, skew, n), guard, skew)(text, n)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all

@@ -73,6 +73,22 @@ def test_find_rejects_a_scheme_that_misfits_the_text(corpus_file, capsys):
         assert "not a word" in capsys.readouterr().err
 
 
+def test_a_scheme_needs_hal(tmp_path, capsys):
+    # only hal, and find's dispatch with no --algo, read --scheme: with any
+    # other algorithm it is refused before a file is read or written
+    out = tmp_path / "report.tsv"
+    for algo in ("nhal", "sf", "hal4"):
+        assert main(["find", "--text", "/nonexistent", "--pattern", "x",
+                     "--algo", algo, "--scheme", "dna4"]) == 2
+        assert capsys.readouterr().err.startswith("error: --scheme applies")
+    for command in ("bench", "count"):
+        assert main([command, "--corpus", "/nonexistent", "--sizes", "4",
+                     "--algos", "sf,nhal", "--scheme", "byte",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --scheme applies")
+    assert not out.exists()
+
+
 def test_find_pattern_file(corpus_file, tmp_path, capsys):
     pf = tmp_path / "pattern.bin"
     pf.write_bytes(b"good men")

@@ -256,6 +256,50 @@ def test_nhal_matches_hal_mod256_on_16bit_data():
                 == search_hal(text, pattern).position)
 
 
+def test_nhal_guard_is_exact_and_serves_16_bit_buffers_only(monkeypatch):
+    # v, v + 256 and v + 512 share their low byte, so the guard often sends
+    # a step on to the full table; in the "h" text some symbols are 1024
+    # lower, negative, with the same low byte.  Arrays and contiguous views
+    # of 16-bit ints take the guarded search, every other text the plain one
+    ran = []
+    for name in ("_guarded_search", "_nhal_search"):
+        def spy(*args, bind=getattr(search, name), name=name):
+            ran.append(name)
+            return bind(*args)
+        monkeypatch.setattr(search, name, spy)
+    guarded = {"H", "h", "H view", "wide H"}
+    rng = random.Random(24)
+    table = ReusableSkipTable()
+    for _ in range(80):
+        sigma = [v + 256 * k for v in rng.sample(range(256), rng.randint(1, 4))
+                 for k in range(3)]
+        values = rng.choices(sigma, k=rng.randint(2, 300))
+        m = rng.randint(2, min(12, len(values)))
+        start = rng.randrange(len(values) - m + 1)
+        lows = bytes(v & 255 for v in values)
+        for pattern in (values[start:start + m], rng.choices(sigma, k=m)):
+            plows = bytes(v & 255 for v in pattern)
+            cases = {  # kind: (text, pattern)
+                "H": (array("H", values), pattern),
+                "h": (array("h", [v - 1024 if rng.random() < 0.3 else v
+                                  for v in values]), pattern),
+                "H view": (memoryview(array("H", values)), pattern),
+                "wide H": (wide_ints("H", lows), list(wide_ints("H", plows))),
+                "strided H view": (memoryview(array("H", values * 2))[::2],
+                                   pattern),
+                "B": (array("B", lows), plows),
+                "I": (array("I", values), pattern),
+                "Q": (array("Q", values), pattern),
+                "list": (values, pattern)}
+            for kind, (text, p) in cases.items():
+                ran.clear()
+                assert (search_nhal(text, p, table).position
+                        == naive_find(list(text), list(p))), kind
+                assert ran == ["_guarded_search" if kind in guarded
+                               else "_nhal_search"], kind
+                assert not any(table.slots)
+
+
 def test_no_byte_view_outlives_its_call():
     # a low-byte probe reads a view of its array, and an array with a
     # view cannot be resized: every search and table build drops its view
@@ -265,7 +309,7 @@ def test_no_byte_view_outlives_its_call():
     calls = [search_hal, dispatch_search, search_al,
              lambda t, p: search_hal(t, p, DNA4),
              lambda t, p: compute_skip(p, MOD256, len(t)),
-             lambda t, p: compute_skip(p, DNA4, len(t))]
+             lambda t, p: compute_skip(p, DNA4, len(t)), search_nhal]
     for want, symbols in [(2, b"abcd"), (None, b"abzz")]:
         for call in calls:
             pattern = wide_ints("H", symbols)
@@ -279,7 +323,7 @@ def test_no_byte_view_outlives_its_call():
 
 def test_generated_code_is_compiled_once_per_key():
     # every generated hash, window list and skip search comes from one
-    # cache, keyed by template, name, probe index and skew
+    # cache, keyed by template, name and probe index (a search's step)
     compiled = schemes._compiled
     assert (ShiftSumScheme((0, 2, 4, 6), 255).hash
             is ShiftSumScheme((0, 2, 4, 6), 255).hash)
@@ -290,7 +334,8 @@ def test_generated_code_is_compiled_once_per_key():
     after = compiled.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
     # nhal's skewed search reads the same index as BYTE's unskewed one
-    unskewed = compiled(search._SKIP_SEARCH, "bind", BYTE.probe(text))
+    unskewed = compiled(search._SKIP_SEARCH, "bind",
+                        f"skip[{BYTE.probe(text)}]")
     assert unskewed is not search._nhal_search
     rng = random.Random(22)
     for _ in range(40):

@@ -68,7 +68,15 @@ MUTANTS = {
     "nhal-no-release": (
         "search.py", "        table.lock.release()\n", ""),
     "nhal-step-skew": (
-        "search.py", '"text[pos]", " + skew")', '"text[pos]")'),
+        "search.py", '_STEP = "skip[text[pos]] + skew"',
+        '_STEP = "skip[text[pos]]"'),
+    "nhal-guard-default": (
+        "search.py", "guard = [m] * 256", "guard = [m + 1] * 256"),
+    "nhal-guard-symbols": (
+        "search.py", "guard[pattern[j] & 255] = 0",
+        "guard[pattern[-1] & 255] = 0"),
+    "nhal-guard-width": (
+        "search.py", "_int_width(text) == 2", "_int_width(text) in (2, 4)"),
     "loop-bound": (
         "search.py", "while pos < n:", "while pos <= n:"),
     "generic-index": (
@@ -103,7 +111,8 @@ MUTANTS = {
     "low-index-guard": (
         "schemes.py", "mask >> min(shifts) < 256", "mask >> min(shifts) < 512"),
     "low-view-strided": (
-        "schemes.py", "or seq.c_contiguous and", "or"),
+        "schemes.py", "isinstance(seq, memoryview) and seq.c_contiguous and",
+        "isinstance(seq, memoryview) and"),
     "skip-default-shift": (
         "tables.py", "[m - s + 1]", "[m - s + 2]"),
     "skip-adjustment": (
