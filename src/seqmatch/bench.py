@@ -12,9 +12,9 @@ its patterns to every cell that still has less than
 size's dummy as long as one of its size's cells.  Cells that a report
 compares, across algorithms and sizes alike, are so measured under the
 same host load.  A cell reports its fastest pass (stable under
-scheduling noise) less its size's dummy pass.  Counted runs replace timing with exact per-character operation
-counts, summed over each cell's patterns, so their reports are
-byte-for-byte reproducible.
+scheduling noise) less its size's dummy pass.  Counted runs replace
+timing with exact per-character operation counts, summed over each
+cell's patterns, so their reports are byte-for-byte reproducible.
 
 Speeds are elements per microsecond: total search length (match
 distance + pattern size, summed over the plan) / 1e6 / seconds.

@@ -1,8 +1,14 @@
 """Command-line front end: find, bench, count, and selftest.
 
-Exit codes: 0 success (for find: match found), 1 no match / failed
-check, 2 usage error.  All randomness flows from --seed, so identical
-invocations reproduce identical plans, corpora, and counted reports.
+Exit codes: 0 success (for find: match found), 1 no match or a failed
+cross-check, 2 an error.  The commands raise, and ``main`` alone maps an
+exception to an exit code: ``CorrectnessMismatch`` to 1, any
+``OSError`` or ``ValueError`` (a bad option, an unreadable input, an
+unwritable ``--out``, an algorithm or scheme that misfits the data) to
+2 with one ``error:`` line.  Only selftest handles an error itself: an
+unreadable or malformed triple file exits 1.  All randomness flows
+from --seed, so identical invocations reproduce identical plans,
+corpora, and counted reports.
 """
 
 import argparse
@@ -112,26 +118,19 @@ def _validate_names(algos, scheme):
 
 
 def cmd_find(args):
-    try:
-        scheme = _validate_names([args.algo] if args.algo else [], args.scheme)
-        if (args.pattern is None) == (args.pattern_file is None):
-            raise ValueError("give exactly one of --pattern/--pattern-file")
-    except ValueError as exc:
-        return _fail(exc)
-    try:
-        if args.pattern is not None:
-            pattern = decode_pattern(args.pattern)
-        else:
-            pattern = Path(args.pattern_file).read_bytes()
-        text = Path(args.text).read_bytes()
-        # a scheme that does not fit the elements raises ValueError too
-        if args.algo:
-            outcome = resolve_algorithm(args.algo, scheme=scheme)(
-                text, pattern)
-        else:
-            outcome = dispatch_search(text, pattern, scheme=scheme)
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
+    scheme = _validate_names([args.algo] if args.algo else [], args.scheme)
+    if (args.pattern is None) == (args.pattern_file is None):
+        raise ValueError("give exactly one of --pattern/--pattern-file")
+    if args.pattern is not None:
+        pattern = decode_pattern(args.pattern)
+    else:
+        pattern = Path(args.pattern_file).read_bytes()
+    text = Path(args.text).read_bytes()
+    # a scheme that does not fit the elements raises ValueError too
+    if args.algo:
+        outcome = resolve_algorithm(args.algo, scheme=scheme)(text, pattern)
+    else:
+        outcome = dispatch_search(text, pattern, scheme=scheme)
     if outcome.found:
         print(outcome.position)
         return 0
@@ -155,36 +154,28 @@ def _echo_summary(report):
 
 def cmd_bench(args):
     """``bench`` and ``count``: one plan, one harness, one TSV report."""
-    try:
-        algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-        if not algos:
-            raise ValueError("no algorithms given")
-        if getattr(args, "min_cell_ms", 0) < 0:
-            raise ValueError("--min-cell-ms takes 0 or more milliseconds")
-        scheme = _validate_names(algos, args.scheme)
-        sizes = (parse_sizes(args.sizes) if args.sizes else
-                 _KINDS[args.kind].pattern_sizes)
-        corpus = load_corpus(args.kind, path=args.corpus, size=args.size,
-                             seed=args.seed)
-        dictionary = (load_corpus("words", path=args.dict_path)
-                      if args.dict_path else None)
-        plan = build_pattern_plan(corpus, sizes, args.tests, dictionary)
-    except (ValueError, OSError) as exc:
-        return _fail(exc)
-    try:
-        if args.command == "count":
-            report = run_counts(corpus, plan, algos, corpus_name=args.kind,
-                                hal_scheme=scheme)
-        else:
-            report = run_bench(corpus, plan, algos, corpus_name=args.kind,
-                               hal_scheme=scheme,
-                               min_cell_seconds=args.min_cell_ms / 1000.0,
-                               time_runs=not args.no_timing)
-    except CorrectnessMismatch as exc:
-        print(f"cross-check failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # an algorithm or scheme misfits the corpus
-        return _fail(exc)
+    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError("no algorithms given")
+    if getattr(args, "min_cell_ms", 0) < 0:
+        raise ValueError("--min-cell-ms takes 0 or more milliseconds")
+    scheme = _validate_names(algos, args.scheme)
+    sizes = (parse_sizes(args.sizes) if args.sizes else
+             _KINDS[args.kind].pattern_sizes)
+    corpus = load_corpus(args.kind, path=args.corpus, size=args.size,
+                         seed=args.seed)
+    dictionary = (load_corpus("words", path=args.dict_path)
+                  if args.dict_path else None)
+    plan = build_pattern_plan(corpus, sizes, args.tests, dictionary)
+    # an algorithm or scheme that misfits the corpus raises ValueError
+    if args.command == "count":
+        report = run_counts(corpus, plan, algos, corpus_name=args.kind,
+                            hal_scheme=scheme)
+    else:
+        report = run_bench(corpus, plan, algos, corpus_name=args.kind,
+                           hal_scheme=scheme,
+                           min_cell_seconds=args.min_cell_ms / 1000.0,
+                           time_runs=not args.no_timing)
     out = args.out or f"{args.command}-{args.kind}.tsv"
     report.write(out)
     _echo_summary(report)
@@ -221,7 +212,7 @@ def _disagrees(fns, text, pattern, label):
 
 def cmd_selftest(args):
     if args.fuzz < 0:
-        return _fail(f"--fuzz takes a count of 0 or more, not {args.fuzz}")
+        raise ValueError(f"--fuzz takes a count of 0 or more, not {args.fuzz}")
     try:
         source = (Path(args.file) if args.file else
                   resources.files("seqmatch").joinpath("data/small.txt"))
@@ -252,7 +243,13 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     handler = {"find": cmd_find, "bench": cmd_bench, "count": cmd_bench,
                "selftest": cmd_selftest}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except CorrectnessMismatch as exc:
+        print(f"cross-check failed: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

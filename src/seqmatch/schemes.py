@@ -85,6 +85,16 @@ def _val(x):
         raise ValueError(f"symbol {x!r} has no integer value") from None
 
 
+def _flat(seq):
+    """``seq``, read by item: a memoryview of other than one dimension
+    neither indexes nor iterates by item, so it raises ValueError before
+    any search starts."""
+    if isinstance(seq, memoryview) and seq.ndim != 1:
+        raise ValueError(f"only 1-D memoryviews are searched, not a "
+                         f"{seq.ndim}-D view")
+    return seq
+
+
 def _items(seq):
     """``seq`` for iteration: an mmap iterates as 1-byte bytes, so it is
     read through a memoryview, whose items are ints as it indexes; a file
@@ -94,7 +104,7 @@ def _items(seq):
     if isinstance(seq, IOBase):
         return chain.from_iterable(iter(partial(seq.read, 1 << 16),
                                         seq.read(0)))
-    return seq
+    return _flat(seq)
 
 
 # binds `low`: the low byte of each item of the int buffer `text`
@@ -309,7 +319,7 @@ def default_scheme_for(text):
     if isinstance(text, _PLAIN_TEXTS):
         return BYTE
     try:
-        first = text[0]
+        first = _flat(text)[0]
     except (IndexError, TypeError, KeyError):
         return ZERO
     if isinstance(first, int):

@@ -29,7 +29,8 @@ empty patterns match at offset 0; texts shorter than the pattern report
 not-found; size-1 patterns take ``l``'s forward scan; a text or pattern
 without ``len``, such as an iterator or a file, raises ``ValueError``
 (``search_l`` takes those, and ``dispatch_search`` hands it such a
-text).  Every not-found outcome is one shared ``SearchOutcome(None)``,
+text), and so does a memoryview of more than one dimension
+(``schemes._flat``).  Every not-found outcome is one shared ``SearchOutcome(None)``,
 safe to share because outcomes are frozen.  Wherever a search
 iterates a text or pattern, an mmap is read as int items, like bytes,
 and a file in chunks, as bytes or characters (``schemes._items``).
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _compiled,
-                      _int_width, _items, default_scheme_for)
+                      _flat, _int_width, _items, default_scheme_for)
 from .tables import _fill_skip, compute_next, compute_skip
 
 
@@ -91,8 +92,8 @@ def _search(search, text, pattern, arg):
     # conventions, so `search(text, pattern, n, m, arg)` runs with
     # 2 <= m <= n and returns the offset or None.
     try:
-        n = len(text)
-        m = len(pattern)
+        n = len(_flat(text))
+        m = len(_flat(pattern))
     except TypeError:
         raise ValueError("random-access searches need a text and pattern "
                          "with len(); search_l takes iterators and files") \

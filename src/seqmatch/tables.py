@@ -101,6 +101,9 @@ def compute_skip(pattern, scheme, text_size):
     if m == 0:
         raise EmptyPattern("cannot preprocess an empty pattern")
     s = scheme.suffix_size
+    if s == 0:
+        raise ValueError("the scheme has no probe window to build a skip "
+                         "table for")
     if m < s:
         raise SuffixTooLong(f"pattern size {m} is below suffix size {s}")
     shifts = [m - s + 1] * scheme.hash_range_max

@@ -290,6 +290,23 @@ def test_bench_and_count_reject_a_misfit_algorithm_or_scheme(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "count"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_bench_and_count_report_an_unwritable_out(command, target, tmp_path,
+                                                  capsys):
+    # the harness runs, then writing the report fails: exit 2 with one
+    # error line, as for an unreadable input, and no summary
+    out = {"missing-directory": tmp_path / "missing" / "report.tsv",
+           "directory": tmp_path}[target]
+    args = [command, "--kind", "text", "--size", "3000", "--sizes", "4",
+            "--tests", "2", "--algos", "sf,hal", "--out", str(out)]
+    assert main(args + (["--no-timing"] if command == "bench" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert captured.out == ""
+
+
 def test_bench_random16_with_nhal(tmp_path):
     out = tmp_path / "r16.tsv"
     rc = main(["bench", "--kind", "random16", "--size", "6000",

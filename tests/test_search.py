@@ -590,6 +590,27 @@ def test_non_integer_symbols_raise_value_error():
     assert all(v == 0 for v in table.slots)
 
 
+def test_multi_dimensional_views_raise_value_error():
+    # such a view has a len but no items to index or iterate: every entry
+    # refuses it before a search starts, as text or as pattern
+    grid = memoryview(bytes(range(16))).cast("B", (4, 4))
+    flat = bytes(range(16))
+    for text, pattern in ((grid, b"\x05\x06"), (flat, grid), (grid, grid)):
+        for name, fn in ALL:
+            with pytest.raises(ValueError, match="only 1-D memoryviews"):
+                fn(text, pattern)
+            with pytest.raises(ValueError, match="only 1-D memoryviews"):
+                run_counted(name, text, pattern)
+        with pytest.raises(ValueError, match="only 1-D memoryviews"):
+            dispatch_search(text, pattern)
+    with pytest.raises(ValueError, match="only 1-D memoryviews"):
+        dispatch_search(iter(flat), grid)
+    with pytest.raises(ValueError, match="only 1-D memoryviews"):
+        schemes.default_scheme_for(grid)
+    # a 1-D view of the same bytes is searched as before
+    assert dispatch_search(grid.cast("B"), b"\x05\x06").position == 5
+
+
 def test_dispatch_capability_routing():
     text = b"some text with a needle in it"
     assert dispatch_search(text, b"needle").position == 17

@@ -4,8 +4,8 @@ import random
 import pytest
 from oracles import mismatch_oracle, next_oracle, skip_oracle_identity
 
-from seqmatch import (BYTE, DNA4, EmptyPattern, ShiftSumScheme, SuffixTooLong,
-                      compute_next, compute_skip)
+from seqmatch import (BYTE, DNA4, ZERO, EmptyPattern, ShiftSumScheme,
+                      SuffixTooLong, compute_next, compute_skip)
 from seqmatch.tables import _fill_skip
 
 
@@ -108,6 +108,13 @@ def test_skip_rejects_bad_inputs():
         compute_skip(b"", BYTE, 10)
     with pytest.raises(SuffixTooLong):
         compute_skip(b"acg", DNA4, 10)
+
+
+def test_skip_refuses_a_scheme_with_no_probe_window():
+    # the search entries send such a scheme to the forward search; a
+    # direct call gets a ValueError, not the bare hash's NotImplementedError
+    with pytest.raises(ValueError, match="no probe window"):
+        compute_skip(b"ab", ZERO, 10)
 
 
 def test_nhal_table_is_hal_table_skewed_by_m():

@@ -130,6 +130,15 @@ MUTANTS = {
         "cli.py", "@cache\ndef _build_parser", "def _build_parser"),
     "cli-scheme-none": (
         "cli.py", "return SCHEMES.get(scheme)", "return None"),
+    "cli-error-policy": (
+        "cli.py", "except (OSError, ValueError) as exc:",
+        "except ValueError as exc:"),
+    "view-ndim": (
+        "schemes.py", "memoryview) and seq.ndim != 1:",
+        "memoryview) and False:"),
+    "skip-no-window": (
+        "tables.py", "    if s == 0:\n        raise",
+        "    if False:\n        raise"),
     "kind-pattern-sizes": (
         "corpus.py", "(20, 50, 100, 150, 200)", "(20, 50, 100, 150)"),
     "kind-corpus-size": (
