@@ -98,11 +98,6 @@ def _build_parser():
     return parser
 
 
-def _fail(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _validate_names(algos, scheme):
     """Check the names; return the scheme that ``scheme`` names, or None."""
     for name in algos:
@@ -162,6 +157,13 @@ def cmd_bench(args):
     scheme = _validate_names(algos, args.scheme)
     sizes = (parse_sizes(args.sizes) if args.sizes else
              _KINDS[args.kind].pattern_sizes)
+    # an --out that cannot be written fails before the harness runs; the
+    # file itself is written only after a whole run
+    out = Path(args.out or f"{args.command}-{args.kind}.tsv")
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"--out {out}: no directory {out.parent}")
     corpus = load_corpus(args.kind, path=args.corpus, size=args.size,
                          seed=args.seed)
     dictionary = (load_corpus("words", path=args.dict_path)
@@ -176,7 +178,6 @@ def cmd_bench(args):
                            hal_scheme=scheme,
                            min_cell_seconds=args.min_cell_ms / 1000.0,
                            time_runs=not args.no_timing)
-    out = args.out or f"{args.command}-{args.kind}.tsv"
     report.write(out)
     _echo_summary(report)
     print(f"wrote {out}")
@@ -249,7 +250,8 @@ def main(argv=None):
         print(f"cross-check failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
-        return _fail(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

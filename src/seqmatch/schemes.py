@@ -52,9 +52,11 @@ values are equal.  ``_compiled`` binds the tables an index names.
 window list and skip search is compiled per distinct template and probe
 index (a skip search's is its whole step), and kept in one
 ``lru_cache`` of 128 entries, so equal schemes share their ``hash`` and
-equal indexes share their searches.  ``_int_width`` is the one rule for
-the buffers that a byte view reads: arrays and C-contiguous 1-D
-memoryviews of ints.
+equal indexes share their searches.
+
+``_kind`` is the one rule on a text's type: it names the index a probe
+takes, the default scheme's path, nhal's guard and whether a text needs
+``search_l``.
 """
 
 import operator
@@ -66,10 +68,8 @@ from io import IOBase
 from itertools import chain
 from mmap import mmap
 
-# array typecodes and memoryview formats whose items are plain ints
-_INT_FORMATS = frozenset("bBhHiIlLqQ")
-# the text types whose type alone decides default_scheme_for and probe
-_PLAIN_TEXTS = (bytes, bytearray, str)
+# the kinds of arrays and memoryviews of plain ints, by typecode or format
+_FORMATS = {"B": "byte", "b": "int", **dict.fromkeys("hHiIlLqQ", "low")}
 
 
 def _val(x):
@@ -85,39 +85,57 @@ def _val(x):
         raise ValueError(f"symbol {x!r} has no integer value") from None
 
 
-def _flat(seq):
-    """``seq``, read by item: a memoryview of other than one dimension
-    neither indexes nor iterates by item, so it raises ValueError before
-    any search starts."""
-    if isinstance(seq, memoryview) and seq.ndim != 1:
-        raise ValueError(f"only 1-D memoryviews are searched, not a "
-                         f"{seq.ndim}-D view")
-    return seq
+def _kind(seq):
+    """The kind of text ``seq`` is, the one rule on a text's type:
+
+    - ``"byte"``: bytes, bytearray, mmap and ``"B"`` buffers;
+    - ``"low"``: an array or C-contiguous 1-D memoryview of ints wider
+      than a byte, whose low bytes a byte view reads (``_LOW``);
+    - ``"int"``: other int buffers;
+    - ``"str"``;
+    - ``"val"``: any other sequence with ``len()`` and indexing;
+    - ``"stream"``: anything without them, such as an iterator or a file.
+
+    A memoryview of other than one dimension neither indexes nor
+    iterates by item, so it raises ValueError before any search starts.
+    Exact bytes and then arrays are tested first, each at the cost of
+    one test: short uncached searches call this four to six times."""
+    if type(seq) is bytes:
+        return "byte"
+    if isinstance(seq, array):
+        return _FORMATS.get(seq.typecode, "val")
+    if isinstance(seq, (bytes, bytearray, mmap, str)):
+        return "str" if isinstance(seq, str) else "byte"
+    if isinstance(seq, memoryview):
+        if seq.ndim != 1:
+            raise ValueError(f"only 1-D memoryviews are searched, not a "
+                             f"{seq.ndim}-D view")
+        kind = _FORMATS.get(seq.format, "val")
+        return "int" if kind == "low" and not seq.c_contiguous else kind
+    # the size is len(), or -1 where len() raises TypeError, as it does
+    # for a counted iterator, whose class has __len__
+    return ("val" if hasattr(seq, "__getitem__")
+            and operator.length_hint(seq, -1) >= 0 else "stream")
 
 
 def _items(seq):
     """``seq`` for iteration: an mmap iterates as 1-byte bytes, so it is
     read through a memoryview, whose items are ints as it indexes; a file
-    iterates by lines, so it is read in chunks, as bytes or characters."""
-    if isinstance(seq, mmap):
+    iterates by lines, so it is read in chunks, as bytes or characters.
+    Anything else is read as it is, once ``_kind`` has checked it; its
+    key spares other texts the slow test for a file, an ABC."""
+    kind = _kind(seq)  # a multi-dimensional memoryview raises
+    if kind == "byte" and isinstance(seq, mmap):
         return memoryview(seq)
-    if isinstance(seq, IOBase):
+    if kind == "stream" and isinstance(seq, IOBase):
         return chain.from_iterable(iter(partial(seq.read, 1 << 16),
                                         seq.read(0)))
-    return _flat(seq)
+    return seq
 
 
 # binds `low`: the low byte of each item of the int buffer `text`
 _LOW = "low = memoryview(text).cast('B')[{}::text.itemsize]".format(
     0 if sys.byteorder == "little" else "text.itemsize - 1")
-
-
-def _int_width(seq):
-    # the item size of an array or C-contiguous 1-D memoryview of ints,
-    # the int buffers whose low bytes `_LOW` can view; else 0
-    flat = isinstance(seq, memoryview) and seq.c_contiguous and seq.ndim == 1
-    fmt = seq.typecode if isinstance(seq, array) else flat and seq.format
-    return seq.itemsize if fmt in _INT_FORMATS else 0
 
 
 @lru_cache(maxsize=128)
@@ -236,19 +254,20 @@ class ShiftSumScheme(HashScheme):
                              "mask, all non-negative ints")
         self.suffix_size = len(shifts)
         self.hash_range_max = mask + 1
-        self._val_index = _index(shifts, mask, "val({})", every=True)
+        val = _index(shifts, mask, "val({})", every=True)
         self.hash = _compiled("def hash(text, pos):\n    return {index}\n",
-                              "hash", self._val_index)
-        self._int_index = _index(shifts, mask, "{}")
-        self._str_index = _index(shifts, mask, "ord({})")
+                              "hash", val)
+        num = _index(shifts, mask, "{}")
         # a byte indexes the table itself when the mask keeps all its bits,
         # and takes the combine tables where they serve
-        self._byte_index = ("text[pos]" if shifts == (0,) and mask & 255 == 255
-                            else _table_index(shifts, mask) or self._int_index)
-        # a mask that clears every bit above each term's low byte needs
-        # only the low byte of a wide int symbol
-        self._low_index = (self._byte_index.replace("text[", "low[")
-                           if mask >> min(shifts) < 256 else self._int_index)
+        byte = ("text[pos]" if shifts == (0,) and mask & 255 == 255
+                else _table_index(shifts, mask) or num)
+        # each `_kind`'s index: a mask that clears every bit above each
+        # term's low byte needs only the low byte of a wide int symbol
+        low = (byte.replace("text[", "low[") if mask >> min(shifts) < 256
+               else num)
+        self._indexes = {"byte": byte, "low": low, "int": num, "val": val,
+                         "str": _index(shifts, mask, "ord({})"), "stream": val}
 
     def probe(self, seq):
         """Int buffers, str and other symbols each get their own index,
@@ -259,15 +278,9 @@ class ShiftSumScheme(HashScheme):
         low-byte index, which reads ``low``, where the mask allows it.
         Where the mask is ``2**k - 1``, at most 511, and two or more
         terms are live, the byte and low-byte indexes chain lookups into
-        the combine tables ``_add_*`` in place of the sum."""
-        fmt = ("B" if isinstance(seq, (bytes, bytearray, mmap)) else
-               seq.typecode if isinstance(seq, array) else
-               seq.format if isinstance(seq, memoryview) else None)
-        if fmt == "B":
-            return self._byte_index
-        if fmt in _INT_FORMATS:
-            return self._low_index if _int_width(seq) > 1 else self._int_index
-        return self._str_index if isinstance(seq, str) else self._val_index
+        the combine tables ``_add_*`` in place of the sum.  The index is
+        the one kept for ``seq``'s ``_kind``; a stream takes ``val``'s."""
+        return self._indexes[_kind(seq)]
 
 
 class WordHeadScheme(HashScheme):
@@ -311,21 +324,23 @@ SCHEMES = {
 def default_scheme_for(text):
     """Static element-type association used by ``dispatch_search``.
 
-    Bytes and plain strings get the identity byte hash, integer
-    elements the low-byte fold, word sequences the word-head hash, and
-    anything else the zero sentinel (which routes to the forward
-    search).
+    Byte buffers, int buffers and strings (every ``_kind`` but ``val``
+    and ``stream``) get the identity byte hash, which is also the
+    low-byte fold of integers.  Other sequences are judged by their
+    first item: integer elements get the low-byte fold, word sequences
+    the word-head hash, and anything else the zero sentinel (which
+    routes to the forward search).
     """
-    if isinstance(text, _PLAIN_TEXTS):
+    if _kind(text) not in ("val", "stream"):
         return BYTE
     try:
-        first = _flat(text)[0]
+        first = text[0]
     except (IndexError, TypeError, KeyError):
         return ZERO
     if isinstance(first, int):
         return MOD256
     if isinstance(first, (str, bytes, bytearray)):
-        # bare strings/bytes were handled above, so elements here are
+        # texts of bytes and str were handled above, so elements here are
         # whole words
         return WORD_HEAD
     return ZERO

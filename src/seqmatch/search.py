@@ -27,13 +27,14 @@ Every skip table, hashed or not, comes from one builder,
 Conventions, applied once in front of every random-access search:
 empty patterns match at offset 0; texts shorter than the pattern report
 not-found; size-1 patterns take ``l``'s forward scan; a text or pattern
-without ``len``, such as an iterator or a file, raises ``ValueError``
-(``search_l`` takes those, and ``dispatch_search`` hands it such a
-text), and so does a memoryview of more than one dimension
-(``schemes._flat``).  Every not-found outcome is one shared ``SearchOutcome(None)``,
-safe to share because outcomes are frozen.  Wherever a search
-iterates a text or pattern, an mmap is read as int items, like bytes,
-and a file in chunks, as bytes or characters (``schemes._items``).
+without ``len`` and indexing, such as an iterator, a file or a set,
+raises ``ValueError`` (``search_l`` takes those, and ``dispatch_search``
+hands it such a text), and so does a memoryview of more than one
+dimension: ``schemes._kind`` is the one rule for both.  Every not-found
+outcome is one shared ``SearchOutcome(None)``, safe to share because
+outcomes are frozen.  Wherever a search iterates a text or pattern, an
+mmap is read as int items, like bytes, and a file in chunks, as bytes or
+characters (``schemes._items``).
 Searches never mutate their inputs and may run concurrently, sharing
 any ``ReusableSkipTable``: a search that finds its table busy uses a
 fresh one, and ``search_nhal`` calls that pass no table share one
@@ -50,8 +51,8 @@ import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _PLAIN_TEXTS, _compiled,
-                      _flat, _int_width, _items, default_scheme_for)
+from .schemes import (BYTE, DNA2, DNA3, DNA4, DNA5, _compiled, _items, _kind,
+                      default_scheme_for)
 from .tables import _fill_skip, compute_next, compute_skip
 
 
@@ -91,13 +92,10 @@ def _search(search, text, pattern, arg):
     # The one entry of every random-access search: it applies the
     # conventions, so `search(text, pattern, n, m, arg)` runs with
     # 2 <= m <= n and returns the offset or None.
-    try:
-        n = len(_flat(text))
-        m = len(_flat(pattern))
-    except TypeError:
+    if "stream" in (_kind(text), _kind(pattern)):
         raise ValueError("random-access searches need a text and pattern "
-                         "with len(); search_l takes iterators and files") \
-            from None
+                         "with len() and indexing; search_l takes iterables")
+    n, m = len(text), len(pattern)
     if n < m or m < 2:  # one test on the common path
         if m == 0:
             return SearchOutcome(0)
@@ -355,7 +353,7 @@ class ReusableSkipTable:
 
 def _nhal(text, pattern, n, m, table):
     # 16-bit int items, none of them 2**16 or above, get the low-byte guard
-    guard = [m] * 256 if _int_width(text) == 2 else None
+    guard = [m] * 256 if _kind(text) == "low" and text.itemsize == 2 else None
     if guard:
         for j in range(m):
             guard[pattern[j] & 255] = 0
@@ -420,13 +418,13 @@ def dispatch_search(text, pattern, scheme=None):
     on every call.
     """
     cls = type(text)
-    if cls in _PLAIN_TEXTS and type(pattern) in (bytes, str):
+    if cls in (bytes, bytearray, str) and type(pattern) in (bytes, str):
         # one lookup and one scan; _search decides the edge cases
         n = len(text)
         if 2 <= len(pattern) <= n:
             k = _cached_tables(pattern, scheme, n.bit_length(), cls)(text, n)
             return _ABSENT if k is None else SearchOutcome(k)
-    if not (hasattr(cls, "__len__") and hasattr(cls, "__getitem__")):
+    if _kind(text) == "stream":
         return search_l(text, pattern)
     return _search(_hal, text, pattern, scheme)
 

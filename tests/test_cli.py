@@ -293,9 +293,13 @@ def test_bench_and_count_reject_a_misfit_algorithm_or_scheme(tmp_path,
 @pytest.mark.parametrize("command", ["bench", "count"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_bench_and_count_report_an_unwritable_out(command, target, tmp_path,
-                                                  capsys):
-    # the harness runs, then writing the report fails: exit 2 with one
-    # error line, as for an unreadable input, and no summary
+                                                  capsys, monkeypatch):
+    # an --out that cannot be written fails before the harness runs: exit
+    # 2 with one error line, as for an unreadable input, and no summary
+    def harness(*args, **kwargs):
+        raise ValueError("the harness ran")
+    monkeypatch.setattr(cli, "run_bench", harness)
+    monkeypatch.setattr(cli, "run_counts", harness)
     out = {"missing-directory": tmp_path / "missing" / "report.tsv",
            "directory": tmp_path}[target]
     args = [command, "--kind", "text", "--size", "3000", "--sizes", "4",
@@ -304,7 +308,14 @@ def test_bench_and_count_report_an_unwritable_out(command, target, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and str(out) in captured.err
-    assert captured.out == ""
+    assert "harness" not in captured.err and captured.out == ""
+    # a writable --out is neither created nor truncated before a whole run
+    out = tmp_path / "report.tsv"
+    out.write_text("kept")
+    args[-1] = str(out)
+    assert main(args) == 2
+    assert "the harness ran" in capsys.readouterr().err
+    assert out.read_text() == "kept"
 
 
 def test_bench_random16_with_nhal(tmp_path):

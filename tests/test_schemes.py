@@ -1,3 +1,5 @@
+import io
+import mmap
 import random
 from array import array
 
@@ -5,8 +7,9 @@ import pytest
 from oracles import wide_ints
 
 from seqmatch import (BYTE, DNA2, DNA3, DNA4, DNA5, MOD256, SCHEMES,
-                      WORD_HEAD, ZERO, ShiftSumScheme, default_scheme_for)
-from seqmatch.schemes import _LOW, _tables, _val
+                      WORD_HEAD, ZERO, CountingSequence, OperationCounts,
+                      ShiftSumScheme, default_scheme_for)
+from seqmatch.schemes import _LOW, _kind, _tables, _val
 
 _RANGED = {name: s for name, s in SCHEMES.items() if s is not ZERO}
 _SHIFT_SUMS = {name: s for name, s in SCHEMES.items()
@@ -121,12 +124,42 @@ def test_generic_probe_is_the_scheme_hash():
         assert got == WORD_HEAD.hash(words, pos), pos
 
 
+def test_kind_classifies_every_accepted_text():
+    # each accepted input and its `_kind`, the key every probe, default
+    # scheme and random-access check reads
+    mapped = mmap.mmap(-1, 4)
+    kinds = [(b"ab", "byte"), (bytearray(b"ab"), "byte"), (mapped, "byte"),
+             (array("B"), "byte"), (memoryview(b"ab"), "byte"),
+             (memoryview(b"abcd")[::2], "byte"),
+             (array("H"), "low"), (array("h"), "low"), (array("Q"), "low"),
+             (memoryview(array("I")), "low"),
+             (array("b"), "int"), (memoryview(array("b")), "int"),
+             (memoryview(array("H", [1, 2, 3]))[::2], "int"),
+             ("ab", "str"),
+             # subclasses take their base's key
+             (type("B", (bytes,), {})(b"ab"), "byte"),
+             (type("S", (str,), {})("ab"), "str"),
+             ([1, 2], "val"), ([b"word"], "val"), (array("d"), "val"),
+             (memoryview(b"ab").cast("c"), "val"), (range(3), "val"),
+             (CountingSequence([1, 2], OperationCounts()), "val"),
+             (iter(b"ab"), "stream"), (io.BytesIO(b"ab"), "stream"),
+             ({1, 2}, "stream"),
+             # a counted iterator has __len__ but no len(): a stream too
+             (CountingSequence(iter(b"ab"), OperationCounts()), "stream")]
+    try:
+        for seq, kind in kinds:
+            assert _kind(seq) == kind, seq
+            for scheme in SCHEMES.values():
+                assert isinstance(scheme.probe(seq), str)
+    finally:
+        mapped.close()
+    for grid in (memoryview(b"abcd").cast("B", (2, 2)),
+                 memoryview(b"a").cast("B", ())):
+        with pytest.raises(ValueError, match="only 1-D memoryviews"):
+            _kind(grid)
+
+
 def test_probe_specializes_buffers_and_strings():
-    kinds = [b"ab", bytearray(b"ab"), "ab", [1, 2], [b"word"], array("B"),
-             array("b"), array("H"), array("d"), memoryview(b"ab"),
-             memoryview(b"ab").cast("c"), memoryview(array("H"))]
-    for scheme in SCHEMES.values():
-        assert all(isinstance(scheme.probe(seq), str) for seq in kinds)
     # byte buffers share the unmasked index; signed bytes and int buffers
     # that cannot take the low-byte index share the masked one
     byte_index, int_index = BYTE.probe(b"ab"), BYTE.probe(array("b"))
@@ -237,6 +270,9 @@ def test_default_scheme_registry():
     assert default_scheme_for([]) is ZERO
     from array import array
     assert default_scheme_for(array("H", [1, 2])) is MOD256
+    # a buffer's scheme follows its format, empty or not: no search
+    # reaches a probe on an empty text
+    assert default_scheme_for(array("H")) is MOD256
     # a memoryview's scheme follows its items, as a list's does
     assert default_scheme_for(memoryview(b"abc")) is BYTE
     assert default_scheme_for(memoryview(array("d", [1.0]))) is ZERO

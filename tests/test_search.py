@@ -114,6 +114,24 @@ def test_sized_searches_name_search_l_for_one_shot_inputs():
     assert all(v == 0 for v in table.slots)
 
 
+@pytest.mark.parametrize("name, fn", ALL, ids=[n for n, _ in ALL])
+@pytest.mark.parametrize("kind", ["dict-view", "set"])
+def test_sized_unindexable_texts_name_search_l(name, fn, kind):
+    # a dict view or a set has len() but no indexing: every random-access
+    # search refuses it with one error, and search_l and dispatch_search
+    # read it by iteration (small ints iterate in order)
+    text = {"dict-view": {1: 0, 2: 0, 3: 0}.keys(), "set": {1, 2, 3}}[kind]
+    assert schemes._kind(text) == "stream"
+    assert dispatch_search(text, [1, 2]).position == 0
+    if name == "l":
+        assert fn(text, [1, 2]).position == 0
+        return
+    with pytest.raises(ValueError, match="len.. and indexing; search_l"):
+        fn(text, [1, 2])
+    with pytest.raises(ValueError, match="search_l"):
+        fn([1, 2, 3], text)
+
+
 def test_not_found_outcomes_are_one_frozen_value():
     # ALL includes search_l as "l"
     for name, fn in ALL + [("dispatch", dispatch_search)]:

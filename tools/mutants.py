@@ -54,8 +54,8 @@ MUTANTS = {
         "search.py", "if 2 <= len(pattern) <= n:",
         "if 1 <= len(pattern) <= n:"),
     "finder-types": (
-        "schemes.py", "_PLAIN_TEXTS = (bytes, bytearray, str)",
-        "_PLAIN_TEXTS = (bytes, bytearray, str, memoryview)"),
+        "search.py", "if cls in (bytes, bytearray, str) and",
+        "if cls in (bytes, bytearray, str, memoryview) and"),
     "bind-forward-rule": (
         "search.py", "if s == 0 or len(pattern) < s:", "if s == 0:"),
     "edge-size-one": (
@@ -76,7 +76,7 @@ MUTANTS = {
         "search.py", "guard[pattern[j] & 255] = 0",
         "guard[pattern[-1] & 255] = 0"),
     "nhal-guard-width": (
-        "search.py", "_int_width(text) == 2", "_int_width(text) in (2, 4)"),
+        "search.py", "text.itemsize == 2", "text.itemsize in (2, 4)"),
     "loop-bound": (
         "search.py", "while pos < n:", "while pos <= n:"),
     "generic-index": (
@@ -111,8 +111,8 @@ MUTANTS = {
     "low-index-guard": (
         "schemes.py", "mask >> min(shifts) < 256", "mask >> min(shifts) < 512"),
     "low-view-strided": (
-        "schemes.py", "isinstance(seq, memoryview) and seq.c_contiguous and",
-        "isinstance(seq, memoryview) and"),
+        "schemes.py", 'kind == "low" and not seq.c_contiguous',
+        'kind == "low" and False'),
     "skip-default-shift": (
         "tables.py", "[m - s + 1]", "[m - s + 2]"),
     "skip-adjustment": (
@@ -134,8 +134,11 @@ MUTANTS = {
         "cli.py", "except (OSError, ValueError) as exc:",
         "except ValueError as exc:"),
     "view-ndim": (
-        "schemes.py", "memoryview) and seq.ndim != 1:",
-        "memoryview) and False:"),
+        "schemes.py", "if seq.ndim != 1:", "if False:"),
+    "kind-byte-format": (
+        "schemes.py", '{"B": "byte",', '{"B": "int",'),
+    "kind-stream": (
+        "schemes.py", 'if hasattr(seq, "__getitem__")\n', "if True\n"),
     "skip-no-window": (
         "tables.py", "    if s == 0:\n        raise",
         "    if False:\n        raise"),
