@@ -15,6 +15,11 @@ one bounded cache of generated code (``schemes._compiled``).  ``nhal``
 drops the hash in favor of a full 16-bit-alphabet table, skewed so that
 zero means "default shift" and one zero-filled table serves many
 searches; it runs the same template with the skew added to each step.
+The skip loop stops only on a tail hit, which lands at or past ``end =
+n + m``.  A hit whose first symbol misses steps back by ``back``, bound
+with the tables, and re-enters the loop; the alignment ``k`` is set, and
+``pos`` rebuilt from it, only after a verify, at its mismatch or at the
+end of the failure-link recovery.
 Over an array or contiguous 1-D memoryview of 16-bit ints, nhal's step
 first reads a 256-slot guard at the symbol's low byte: ``m``, the
 table's shift for every symbol whose low byte no pattern symbol shares,
@@ -225,25 +230,33 @@ def search_l(text, pattern):
 # loop adds `{index}`, its step, inline: `skip[<index>]` with a scheme's
 # probe(text) for hal, `skip[text[pos]] + skew` for nhal, after the guard
 # where it has one; `{low}` binds the byte view a low-byte read needs.
-# Only a tail hit stops the loop at n + m or beyond.
+# Only a tail hit stops the loop at `end` = n + m or beyond: the tail
+# slot adds `adjustment` - m + 1 to the probed position, so the hit's
+# alignment starts at `pos - adjustment`.  A hit whose first symbol
+# misses steps `pos` back by `back`, to `mismatch_shift` past the probed
+# position, and re-enters the loop.  Only a verify sets `k` and rebuilds
+# `pos` from it: at the alignment `mismatch_shift` past the hit's after
+# a mismatch at `j < mismatch_shift`, else at the alignment `k` where the
+# failure-link recovery ends.
 _SKIP_SEARCH = """\
 def bind(pattern, shifts, table, hash, skew):
     def find(text, n, pattern=pattern, m=len(pattern), first=pattern[0],
              shifts=shifts, skip=table.shifts,
              mismatch_shift=table.mismatch_shift,
-             adjustment=table.adjustment, hash=hash, skew=skew):
+             adjustment=table.adjustment, hash=hash, skew=skew,
+             back=table.adjustment - table.mismatch_shift - len(pattern) + 1):
         {low}
-        k = 0
+        pos = m - 1
+        end = n + m
         while True:
-            pos = k + m - 1
             while pos < n:
                 pos += {index}
-            if pos < n + m:
+            if pos < end:
                 return None  # ran off the end without a tail match
-            k = pos - adjustment
-            if text[k] != first:
-                k += mismatch_shift
+            if text[pos - adjustment] != first:
+                pos -= back
                 continue
+            k = pos - adjustment
             j = 1
             while True:
                 k += 1
@@ -253,7 +266,7 @@ def bind(pattern, shifts, table, hash, skew):
                 if j == m:
                     return k - m + 1
             if mismatch_shift > j:
-                k += mismatch_shift - j
+                pos = k + mismatch_shift - j + m - 1
                 continue
             while True:  # recover through the failure links
                 j = shifts[j]
@@ -269,6 +282,7 @@ def bind(pattern, shifts, table, hash, skew):
                         return k - m
                     if k == n:
                         return None
+            pos = k + m - 1
     return find
 """
 

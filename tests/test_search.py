@@ -822,6 +822,41 @@ def test_tail_slot_at_the_text_size_class_boundaries():
                         assert search_al(text, pattern).position == n - m
 
 
+# (text, pattern) cases, one per place where the skip search sets `pos`
+# after a tail hit.  Each pattern's tail windows of 1 to 5 symbols recur
+# at one distance, its `mismatch_shift`, and a, b, c and d differ in their
+# two low bits, so every scheme, BYTE to DNA5, takes the same path
+_TAIL_CASES = {
+    "first-symbol miss at the last alignment": ("xxxxxxxxxxzbcdefgh",
+                                                "abcdefgh"),
+    "first-symbol miss, tail symbol recurs": ("babaaaaaaa", "abaaaaaaa"),
+    "verify mismatch, mismatch_shift > j": ("baddddbcbdacbcbda",
+                                            "bcbdacbcbda"),
+    "recovery reaches k == n": ("ababaaaaa", "abaaaaaaa"),
+    "recovery matches flush at n": ("ababaaaaaaa", "abaaaaaaa"),
+    "recovery resumes at k": ("aabaaaaaaa", "abaaaaaaa"),
+    "match ends at n": ("xxabcdefgh", "abcdefgh"),
+    # n = 2**3 - 1: the tail hit of the first probe lands exactly on `end`
+    "m == n == 2**3 - 1": ("abcdefg", "abcdefg"),
+}
+_SKIP_SEARCHES = {**{name: resolve_algorithm(name) for name in
+                     ("al", "hal", "hal2", "hal3", "hal4", "hal5", "nhal")},
+                  "dispatch": dispatch_search}
+_TAIL_TYPES = {"bytes": str.encode, "str": str,
+               "H": lambda s: wide_ints("H", s.encode())}
+
+
+# every search on every text type it takes: nhal takes no str
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in _SKIP_SEARCHES for kind in _TAIL_TYPES
+    if (name, kind) != ("nhal", "str")])
+def test_skip_search_resumes_right_after_every_tail_hit(name, kind):
+    fn, convert = _SKIP_SEARCHES[name], _TAIL_TYPES[kind]
+    for case, (text, pattern) in _TAIL_CASES.items():
+        assert (fn(convert(text), convert(pattern)).position
+                == naive_find(text, pattern)), case
+
+
 def test_algorithm_names_keep_their_order():
     # reports, the cli and the tests list the algorithms in this order
     assert ALGORITHM_NAMES == ("sf", "kmp", "l", "al", "hal", "hal2", "hal3",

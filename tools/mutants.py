@@ -36,13 +36,19 @@ FIRST = "tests/test_counting.py::test_skip_loops_stop_within_a_linear_budget"
 # name -> (file under src/seqmatch, old text, new text); old occurs once
 MUTANTS = {
     "scan-not-found-test": (
-        "search.py", "if pos < n + m:", "if pos <= n + m:"),
+        "search.py", "end = n + m\n", "end = n + m + 1\n"),
     "scan-not-found-hang": (
-        "search.py", "if pos < n + m:", "if pos < n + m - 1:"),
+        "search.py", "end = n + m\n", "end = n + m - 1\n"),
     "scan-recovery-end": (
         "search.py", "if k == n:", "if k == n - 1:"),
     "scan-mismatch-shift": (
-        "search.py", "k += mismatch_shift\n", "k += mismatch_shift + 1\n"),
+        "search.py", "- len(pattern) + 1):", "- len(pattern)):"),
+    "scan-verify-shift": (
+        "search.py", "pos = k + mismatch_shift - j + m - 1",
+        "pos = k + mismatch_shift - j + m"),
+    "scan-recovery-resume": (
+        "search.py", "            pos = k + m - 1\n",
+        "            pos = k + m\n"),
     "tables-tail-slot": (
         "search.py", "(1 << size_bits) - 1", "(1 << size_bits) - 2"),
     "cache-bytearray-patterns": (
