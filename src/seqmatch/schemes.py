@@ -70,6 +70,8 @@ from mmap import mmap
 
 # the kinds of arrays and memoryviews of plain ints, by typecode or format
 _FORMATS = {"B": "byte", "b": "int", **dict.fromkeys("hHiIlLqQ", "low")}
+# the types of every other byte or str text, built once, not per call
+_BYTES_OR_STR = (bytes, bytearray, mmap, str)
 
 
 def _val(x):
@@ -104,7 +106,7 @@ def _kind(seq):
         return "byte"
     if isinstance(seq, array):
         return _FORMATS.get(seq.typecode, "val")
-    if isinstance(seq, (bytes, bytearray, mmap, str)):
+    if isinstance(seq, _BYTES_OR_STR):
         return "str" if isinstance(seq, str) else "byte"
     if isinstance(seq, memoryview):
         if seq.ndim != 1:

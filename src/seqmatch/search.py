@@ -44,14 +44,18 @@ Searches never mutate their inputs and may run concurrently, sharing
 any ``ReusableSkipTable``: a search that finds its table busy uses a
 fresh one, and ``search_nhal`` calls that pass no table share one
 process-wide table.  Every hashed search binds its pattern and tables
-into one finder, compiled for the probe index of the text's type, for
-the text's power-of-two size class, so ``dispatch_search`` keeps the
-finders of bytes and str patterns, for texts whose exact type is bytes,
-bytearray or str, in a 256-entry ``functools.lru_cache`` keyed by
-pattern, scheme, size class and text type.  Finders are safe to share:
-their tables are never written after they are built.
+into one finder, compiled for the probe index of the text's type.  Its
+tail slot is ``n + 1`` for a text of ``n >= _TAIL`` elements and
+``_TAIL``, 2**29 on 64-bit CPython, for every shorter text, where a
+tail hit lands past every text position and stays below ``2 * _TAIL``,
+one int digit.  So one finder serves every text below ``_TAIL``, and
+``dispatch_search`` keeps the finders of bytes and str patterns, for
+such texts whose exact type is bytes, bytearray or str, in a 256-entry
+``functools.lru_cache`` keyed by pattern, scheme and text type.  Finders are safe to share: their tables
+are never written after they are built.
 """
 
+import sys
 import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -223,13 +227,15 @@ def search_l(text, pattern):
 
 # The one skip-loop search behind al, hal, hal2..hal5, nhal and dispatch.
 # `bind(pattern, shifts, table, hash, skew)` returns `find(text, n)`, for
-# 2 <= m <= n = len(text), with the pattern, its failure links `shifts`,
+# m >= 2 and n = len(text), with the pattern, its failure links `shifts`,
 # its `SkipTable` (built for a text size of at least n), the scheme's
 # `hash` (for nhal over 16-bit ints, its low-byte guard) and nhal's
-# `skew` bound as positional defaults, read as fast locals.  The skip
-# loop adds `{index}`, its step, inline: `skip[<index>]` with a scheme's
-# probe(text) for hal, `skip[text[pos]] + skew` for nhal, after the guard
-# where it has one; `{low}` binds the byte view a low-byte read needs.
+# `skew` bound as positional defaults, read as fast locals.  Where n < m,
+# `pos = m - 1` starts at or past n, so `find` returns None before it
+# reads the text.  The skip loop adds `{index}`, its step, inline:
+# `skip[<index>]` with a scheme's probe(text) for hal, `skip[text[pos]] +
+# skew` for nhal, after the guard where it has one; `{low}` binds the
+# byte view a low-byte read needs.
 # Only a tail hit stops the loop at `end` = n + m or beyond: the tail
 # slot adds `adjustment` - m + 1 to the probed position, so the hit's
 # alignment starts at `pos - adjustment`.  A hit whose first symbol
@@ -295,13 +301,18 @@ _nhal_search = _compiled(_SKIP_SEARCH, "bind", _STEP)
 _guarded_search = _compiled(_SKIP_SEARCH, "bind", "hash[low[pos]] or " + _STEP)
 
 
-def _bind(text, pattern, scheme, size_bits):
+# every hashed search of a text below it takes it as its tail slot; a
+# tail hit then lands below 2 * _TAIL, still a one-digit int
+_TAIL = 1 << (sys.int_info.bits_per_digit - 1)
+
+
+def _bind(text, pattern, scheme, n):
     # The search of al, hal, hal2..hal5 and dispatch for `pattern` in texts
-    # like `text` of up to 2**size_bits - 1 elements, as `find(text, n)`:
-    # the skip-loop search, or the forward search where the scheme cannot
-    # cover a probe window.  The tail slot large = 2**size_bits exceeds
-    # every text of the size class and stays <= 2n, so tail hits keep
-    # small-int arithmetic.
+    # like `text` of up to n elements, or of any size below `_TAIL`, as
+    # `find(text, n)`: the skip-loop search, or the forward search where
+    # the scheme cannot cover a probe window.  The tail slot, `_TAIL` or
+    # n + 1 if larger, exceeds every position of those texts, so one
+    # finder serves every text below `_TAIL`.
     if scheme is None:
         scheme = default_scheme_for(text)
     s = scheme.suffix_size
@@ -309,18 +320,23 @@ def _bind(text, pattern, scheme, size_bits):
     if s == 0 or len(pattern) < s:
         return lambda text, n: _l(text, pattern, shifts)
     return _compiled(_SKIP_SEARCH, "bind", f"skip[{scheme.probe(text)}]")(
-        pattern, shifts, compute_skip(pattern, scheme, (1 << size_bits) - 1),
+        pattern, shifts, compute_skip(pattern, scheme, max(n, _TAIL - 1)),
         scheme.hash, 0)
 
 
 def _hal(text, pattern, n, m, scheme):
-    return _bind(text, pattern, scheme, n.bit_length())(text, n)
+    return _bind(text, pattern, scheme, n)(text, n)
 
 
-# dispatch's finders, keyed by (pattern, scheme, size_bits, text type)
+# dispatch's finders for texts below _TAIL, keyed by (pattern, scheme,
+# text type), for texts and patterns of these exact types
+_CACHED_TEXTS = (bytes, bytearray, str)
+_CACHED_PATTERNS = (bytes, str)
+
+
 @lru_cache(maxsize=256)
-def _cached_tables(pattern, scheme, size_bits, cls):
-    return _bind(cls(), pattern, scheme, size_bits)
+def _cached_tables(pattern, scheme, cls):
+    return _bind(cls(), pattern, scheme, 0)
 
 
 def search_hal(text, pattern, scheme=None):
@@ -423,21 +439,21 @@ def dispatch_search(text, pattern, scheme=None):
     the default registered for the element type; anything merely
     iterable uses ``search_l``.  The zero sentinel scheme (and any
     pattern shorter than the scheme's window) lands back on the forward
-    search.  For bytes and str patterns in texts whose exact type is
-    bytes, bytearray or str, the bound search is cached, keyed by
-    pattern, scheme, power-of-two text-size class and text type, so many
-    texts searched for one pattern preprocess it once per class and
-    type; the cache holds at most 256 entries.  Other texts, such as
-    memoryviews, mmaps, arrays, lists and subclasses, build their tables
-    on every call.
+    search.  For bytes and str patterns of two or more elements, in
+    texts whose exact type is bytes, bytearray or str and whose size is
+    below ``_TAIL`` (2**29 on 64-bit CPython), the bound search is
+    cached, keyed by pattern, scheme and text type, so many texts
+    searched for one pattern preprocess it once per type; the cache
+    holds at most 256 entries.  Other texts, such as memoryviews, mmaps,
+    arrays, lists and subclasses, build their tables on every call.
     """
     cls = type(text)
-    if cls in (bytes, bytearray, str) and type(pattern) in (bytes, str):
-        # one lookup and one scan; _search decides the edge cases
-        n = len(text)
-        if 2 <= len(pattern) <= n:
-            k = _cached_tables(pattern, scheme, n.bit_length(), cls)(text, n)
-            return _ABSENT if k is None else SearchOutcome(k)
+    if (cls in _CACHED_TEXTS and type(pattern) in _CACHED_PATTERNS
+            and len(pattern) > 1 and (n := len(text)) < _TAIL):
+        # one lookup and one scan: the finder answers n < m before it
+        # reads the text, and _search decides the m < 2 rules
+        k = _cached_tables(pattern, scheme, cls)(text, n)
+        return _ABSENT if k is None else SearchOutcome(k)
     if _kind(text) == "stream":
         return search_l(text, pattern)
     return _search(_hal, text, pattern, scheme)

@@ -735,21 +735,68 @@ def test_dispatch_sees_a_mutated_bytearray_pattern():
     assert dispatch_search(text, pattern).position == 6
 
 
-def test_dispatch_cache_serves_one_entry_per_text_size_class():
+def test_dispatch_cache_serves_one_entry_for_every_text_size():
     cached = search._cached_tables
     cached.cache_clear()
     pattern = b"needle"
-    assert dispatch_search(b"x" * 100 + pattern, pattern).position == 100
-    assert cached.cache_info().misses == 1
-    # 106 and 120 elements share the class [64, 128)
-    assert dispatch_search(b"y" * 114 + pattern, pattern).position == 114
-    assert cached.cache_info().hits == 1
-    assert dispatch_search(b"z" * 200 + pattern, pattern).position == 200
-    assert cached.cache_info().misses == 2
-    # the tail slot exceeds every text of the class [128, 256) but stays
-    # <= 2n, so tail hits keep small-int arithmetic
-    finder = cached(pattern, BYTE, 8, bytes)
-    assert inspect.signature(finder).parameters["skip"].default[pattern[-1]] == 256
+    # texts of 106, 120 and 206 bytes share one entry
+    for pad in (100, 114, 200):
+        text = b"x" * pad + pattern
+        assert dispatch_search(text, pattern).position == pad
+    assert cached.cache_info()[:2] == (2, 1)
+    # the tail slot, search._TAIL, exceeds every position of a text below
+    # it, and a tail hit, at most (_TAIL - 2) + _TAIL, is a one-digit int
+    finder = cached(pattern, None, bytes)
+    assert cached.cache_info()[:2] == (3, 1)
+    skip = inspect.signature(finder).parameters["skip"].default
+    assert skip[pattern[-1]] == search._TAIL
+    assert 2 * search._TAIL - 2 < 1 << sys.int_info.bits_per_digit
+
+
+def test_dispatch_cache_admits_only_texts_below_the_tail_slot(monkeypatch):
+    # with _TAIL at 64, 63-element texts take the cached finder, whose tail
+    # slot is 64, and 64-element texts an uncached one built for them; a
+    # match at offset 0 is found by the first probe's tail hit, which lands
+    # exactly on `end` = n + m when n is 63 and the slot 64
+    monkeypatch.setattr(search, "_TAIL", 64)
+    cached = search._cached_tables
+    cached.cache_clear()
+    rng = random.Random(63)
+    try:
+        for n in (63, 64):
+            for scheme in (None, DNA4):
+                for at in (0, 9, n - 7, None):
+                    raw = bytes(rng.choices(b"acgt", k=n))
+                    pattern = bytes(rng.choices(b"acgt", k=7))
+                    if at is not None:
+                        raw = raw[:at] + pattern + raw[at + 7:]
+                    for text, p in ((raw, pattern),
+                                    (bytearray(raw), pattern),
+                                    (raw.decode(), pattern.decode())):
+                        before = cached.cache_info()
+                        got = dispatch_search(text, p, scheme).position
+                        assert got == naive_find(raw, pattern), \
+                            (n, scheme, at, type(text))
+                        if at == 0:
+                            assert got == 0
+                        used = cached.cache_info()[:2] != before[:2]
+                        assert used == (n < 64), (n, type(text))
+    finally:
+        cached.cache_clear()  # drop the finders with a tail slot of 64
+
+
+def test_dispatch_cache_answers_texts_shorter_than_the_pattern():
+    cached = search._cached_tables
+    cached.cache_clear()
+    # DNA5's window exceeds the 3-element pattern: the forward search
+    for scheme, pattern in ((None, "acgta"), (DNA4, "acgta"), (DNA5, "acg")):
+        for text in ("", "a", pattern[:-1], "t" * (len(pattern) - 1)):
+            for t, p in ((text.encode(), pattern.encode()),
+                         (bytearray(text.encode()), pattern.encode()),
+                         (text, pattern)):
+                before = cached.cache_info()
+                assert dispatch_search(t, p, scheme).position is None
+                assert cached.cache_info()[:2] != before[:2], (t, p)
 
 
 def test_dispatch_cache_stays_within_its_bound():
@@ -801,10 +848,10 @@ def test_dispatch_cache_survives_thread_switches():
 
 
 def test_tail_slot_at_the_text_size_class_boundaries():
-    # every hashed search sets its tail slot to large = 2**n.bit_length(),
-    # so texts one short of, at and one past a power of two straddle two
-    # size classes; the tail window recurs all through the text, and the
-    # only match sits flush at its end, behind tail hits up to n
+    # every hashed search of a text below search._TAIL sets its tail slot
+    # to _TAIL, so texts one short of, at and one past a power of two share
+    # one slot; the tail window recurs all through the text, and the only
+    # match sits flush at its end, behind tail hits up to n
     search._cached_tables.cache_clear()
     cases = ((BYTE, b"ab", [b"bbab", b"bb" + b"ab" * 5]),
              (DNA4, b"acgt", [b"ttacgt", b"tt" + b"acgt" * 4]))

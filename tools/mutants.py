@@ -50,18 +50,22 @@ MUTANTS = {
         "search.py", "            pos = k + m - 1\n",
         "            pos = k + m\n"),
     "tables-tail-slot": (
-        "search.py", "(1 << size_bits) - 1", "(1 << size_bits) - 2"),
+        "search.py", "max(n, _TAIL - 1)", "max(n - 1, _TAIL - 1)"),
+    "finder-tail-slot": (
+        "search.py", "_TAIL - 1)", "_TAIL - 2)"),
+    "finder-tail-admission": (
+        "search.py", "(n := len(text)) < _TAIL", "(n := len(text)) <= _TAIL"),
     "cache-bytearray-patterns": (
-        "search.py", "type(pattern) in (bytes, str)",
-        "type(pattern) in (bytes, bytearray, str)"),
+        "search.py", "_CACHED_PATTERNS = (bytes, str)",
+        "_CACHED_PATTERNS = (bytes, bytearray, str)"),
     "finder-key-type": (
-        "search.py", "n.bit_length(), cls)", "n.bit_length(), bytes)"),
+        "search.py", "(pattern, scheme, cls)(text, n)",
+        "(pattern, scheme, bytes)(text, n)"),
     "finder-range": (
-        "search.py", "if 2 <= len(pattern) <= n:",
-        "if 1 <= len(pattern) <= n:"),
+        "search.py", "and len(pattern) > 1 and", "and len(pattern) > 0 and"),
     "finder-types": (
-        "search.py", "if cls in (bytes, bytearray, str) and",
-        "if cls in (bytes, bytearray, str, memoryview) and"),
+        "search.py", "_CACHED_TEXTS = (bytes, bytearray, str)",
+        "_CACHED_TEXTS = (bytes, bytearray, str, memoryview)"),
     "bind-forward-rule": (
         "search.py", "if s == 0 or len(pattern) < s:", "if s == 0:"),
     "edge-size-one": (
