@@ -46,7 +46,10 @@ x0) + (c << x)) & mask``: only such a mask lets the sum be masked one
 term at a time.  A table is built by the first compile of an index that
 names it, not at import, and shared by every index that names it (DNA4
 and DNA5 read the same three), and its rows are shared where their
-values are equal.  ``_compiled`` binds the tables an index names.
+values are equal.  ``_compiled`` binds each table an index names as a
+positional default of the generated function, so its loop reads the
+table as a fast local (a window list's comprehension, as a cell), not as
+a global.
 
 ``_compiled`` is the one place that compiles generated code: each hash,
 window list and skip search is compiled per distinct template and probe
@@ -100,10 +103,14 @@ def _kind(seq):
 
     A memoryview of other than one dimension neither indexes nor
     iterates by item, so it raises ValueError before any search starts.
-    Exact bytes and then arrays are tested first, each at the cost of
-    one test: short uncached searches call this four to six times."""
+    Exact bytes, exact lists and then arrays are tested first, each at
+    the cost of one test: short uncached searches call this four to six
+    times, and every skip table built reads its list of window hashes
+    through ``_items``."""
     if type(seq) is bytes:
         return "byte"
+    if type(seq) is list:
+        return "val"
     if isinstance(seq, array):
         return _FORMATS.get(seq.typecode, "val")
     if isinstance(seq, _BYTES_OR_STR):
@@ -142,13 +149,17 @@ _LOW = "low = memoryview(text).cast('B')[{}::text.itemsize]".format(
 
 @lru_cache(maxsize=128)
 def _compiled(template, name, index):
-    # the function `name` that `template` defines, with `val` and the
-    # combine tables that `index` reads bound and the source `index` in
-    # its `{index}` slots (a probe index, or a skip search's whole step):
-    # every generated hash, window list and skip search.  Its `{low}`
-    # line, before the index's loop, binds `low` when the index reads it
-    names = {"val": _val, **_tables(index)}
-    exec(template.format(index=index, low=_LOW if "low[" in index else ""),
+    # the function `name` that `template` defines, with `val` bound and the
+    # source `index` in its `{index}` slots (a probe index, or a skip
+    # search's whole step): every generated hash, window list and skip
+    # search.  Its `{low}` line, before the index's loop, binds `low` when
+    # the index reads it; its `{tables}` slot, in the parameter list,
+    # binds each combine table that the index reads as a positional
+    # default
+    tables = _tables(index)
+    names = {"val": _val, **tables}
+    exec(template.format(index=index, low=_LOW if "low[" in index else "",
+                         tables="".join(f", {t}={t}" for t in tables)),
          names)
     return names[name]
 

@@ -229,8 +229,9 @@ def search_l(text, pattern):
 # `bind(pattern, shifts, table, hash, skew)` returns `find(text, n)`, for
 # m >= 2 and n = len(text), with the pattern, its failure links `shifts`,
 # its `SkipTable` (built for a text size of at least n), the scheme's
-# `hash` (for nhal over 16-bit ints, its low-byte guard) and nhal's
-# `skew` bound as positional defaults, read as fast locals.  Where n < m,
+# `hash` (for nhal over 16-bit ints, its low-byte guard), nhal's `skew`
+# and, in `{tables}`, the combine tables that `{index}` reads bound as
+# positional defaults, read as fast locals.  Where n < m,
 # `pos = m - 1` starts at or past n, so `find` returns None before it
 # reads the text.  The skip loop adds `{index}`, its step, inline:
 # `skip[<index>]` with a scheme's probe(text) for hal, `skip[text[pos]] +
@@ -249,7 +250,7 @@ def bind(pattern, shifts, table, hash, skew):
     def find(text, n, pattern=pattern, m=len(pattern), first=pattern[0],
              shifts=shifts, skip=table.shifts,
              mismatch_shift=table.mismatch_shift,
-             adjustment=table.adjustment, hash=hash, skew=skew,
+             adjustment=table.adjustment, hash=hash, skew=skew{tables},
              back=table.adjustment - table.mismatch_shift - len(pattern) + 1):
         {low}
         pos = m - 1

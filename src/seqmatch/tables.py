@@ -11,7 +11,7 @@ alignment may jump.
 from dataclasses import dataclass
 
 from .errors import EmptyPattern, SuffixTooLong
-from .schemes import _compiled
+from .schemes import _compiled, _items
 
 
 def compute_next(pattern):
@@ -33,18 +33,16 @@ def compute_next(pattern):
     m = len(pattern)
     if m == 0:
         raise EmptyPattern("cannot preprocess an empty pattern")
-    shifts = [-1]
+    symbols = list(_items(pattern))  # a list indexes on CPython's fast path
+    shifts = [-1] * m
     j = 0
     t = -1
     while j < m - 1:
-        while t >= 0 and pattern[j] != pattern[t]:
+        while t >= 0 and symbols[j] != symbols[t]:
             t = shifts[t]
         j += 1
         t += 1
-        if pattern[j] == pattern[t]:
-            shifts.append(shifts[t])
-        else:
-            shifts.append(t)
+        shifts[j] = shifts[t] if symbols[j] == symbols[t] else t
     return shifts
 
 
@@ -68,9 +66,11 @@ def _fill_skip(slots, hashes, m, skew, text_size):
     # `hashes` are the pattern's window hashes, tail last; each slot
     # holds its value less `skew`.  The tail slot's `large` exceeds
     # every text position, so only a tail hit stops the skip loop.
+    # `hashes` is iterated, not indexed, through `_items`: nhal passes
+    # its pattern, and an mmap iterates as 1-byte bytes.
     last = len(hashes) - 1
-    for i in range(last):
-        slots[hashes[i]] = last - i - skew
+    for h, shift in zip(_items(hashes), range(last - skew, -skew, -1)):
+        slots[h] = shift
     tail = hashes[last]
     mismatch_shift = slots[tail] + skew
     large = text_size + 1
@@ -80,8 +80,10 @@ def _fill_skip(slots, hashes, m, skew, text_size):
 
 # the hashes of the windows of `text` ending at lo .. hi - 1, as the skip
 # loop probes them: one list comprehension over a probe index, with
-# `hash` bound for generic schemes, compiled by `schemes._compiled`
-_WINDOWS = ("def windows(text, hash, lo, hi):\n    {low}\n"
+# `hash` bound for generic schemes and, in `{tables}`, the combine tables
+# the index reads bound as positional defaults, compiled by
+# `schemes._compiled`
+_WINDOWS = ("def windows(text, hash, lo, hi{tables}):\n    {low}\n"
             "    return [{index} for pos in range(lo, hi)]\n")
 
 

@@ -3,6 +3,7 @@ import inspect
 import io
 import mmap
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -10,7 +11,7 @@ from array import array
 import pytest
 from oracles import naive_find, wide_ints
 
-from seqmatch import schemes, search
+from seqmatch import schemes, search, tables
 from seqmatch import (ALGORITHM_NAMES, BYTE, DNA2, DNA3, DNA4, DNA5, MOD256,
                       ZERO, HashScheme, ReusableSkipTable, SearchOutcome,
                       ShiftSumScheme,
@@ -497,6 +498,28 @@ print(schemes._row.cache_info().currsize)
         k << k for k in range(1, cap + 1))
 
 
+@pytest.mark.parametrize("scheme", [DNA2, DNA3, DNA4, DNA5],
+                         ids=["dna2", "dna3", "dna4", "dna5"])
+@pytest.mark.parametrize("wide", [False, True], ids=["bytes", "array-H"])
+def test_generated_code_reads_combine_tables_as_locals(scheme, wide):
+    # every combine table an index reads is a positional default of the
+    # generated find and windows functions, so no probe and no window
+    # hash reads one as a global, the comprehension included
+    data = b"acgtacgtaacgtggtcatacgatcgatcgtacgtagc"
+    text = wide_ints("H", data) if wide else data
+    pattern = text[-12:]
+    index = scheme.probe(text)
+    find = search._bind(text, pattern, scheme, len(text))
+    windows = schemes._compiled(tables._WINDOWS, "windows", index)
+    codes = [find.__code__, windows.__code__,
+             *(c for c in windows.__code__.co_consts if inspect.iscode(c))]
+    assert not [name for code in codes for name in code.co_names
+                if name.startswith("_add_")]
+    for code in (find.__code__, windows.__code__):
+        assert set(re.findall(r"_add_\w+", index)) <= set(code.co_varnames)
+    assert find(text, len(text)) == naive_find(text, pattern)
+
+
 def test_combine_tables_built_by_concurrent_searches():
     # with every cache emptied, 8 threads make the first DNA2..DNA5
     # searches together, switching every microsecond, so several may
@@ -659,7 +682,7 @@ def test_dispatch_word_sequences():
     assert dispatch_search(words, [b"banana"]).position is None
 
 
-def test_dispatch_cache_grows_the_tail_slot_with_the_text():
+def test_dispatch_cache_serves_a_short_and_a_long_text_from_one_finder():
     search._cached_tables.cache_clear()
     pattern = b"bab"
     short = b"abcabcabc"
@@ -847,7 +870,7 @@ def test_dispatch_cache_survives_thread_switches():
     assert info.currsize <= info.maxsize
 
 
-def test_tail_slot_at_the_text_size_class_boundaries():
+def test_texts_around_powers_of_two_share_one_tail_slot():
     # every hashed search of a text below search._TAIL sets its tail slot
     # to _TAIL, so texts one short of, at and one past a power of two share
     # one slot; the tail window recurs all through the text, and the only

@@ -1,5 +1,7 @@
 import itertools
+import mmap
 import random
+from array import array
 
 import pytest
 from oracles import mismatch_oracle, next_oracle, skip_oracle_identity
@@ -34,6 +36,24 @@ def test_compute_next_exhaustive_binary_patterns():
         for tup in itertools.product(b"ab", repeat=m):
             pattern = bytes(tup)
             assert compute_next(pattern) == next_oracle(pattern)
+
+
+def test_preprocessing_reads_every_pattern_type_as_bytes():
+    # compute_next and _fill_skip iterate the pattern, where an mmap
+    # yields 1-byte bytes: each pattern type gives the bytes results
+    rng = random.Random(32)
+    for _ in range(60):
+        data = bytes(rng.choices(b"ab\xff", k=rng.randint(1, 30)))
+        m = len(data)
+        want_next = compute_next(data)
+        want_skip = [_fill_skip([0] * 256, data, m, skew, 100)
+                     for skew in (0, m)]
+        with mmap.mmap(-1, m) as mapped:
+            mapped.write(data)
+            for pattern in (mapped, array("H", list(data)), list(data)):
+                assert compute_next(pattern) == want_next, pattern
+                assert [_fill_skip([0] * 256, pattern, m, skew, 100)
+                        for skew in (0, m)] == want_skip, pattern
 
 
 def test_compute_next_rejects_empty_pattern():

@@ -92,6 +92,8 @@ MUTANTS = {
     "generic-index": (
         "schemes.py", 'return "hash(text, pos)"',
         'return "hash(text, pos - 1)"'),
+    "tables-as-locals": (
+        "schemes.py", 'f", {t}={t}" for t in tables', '"" for t in tables'),
     "compile-cache": (
         "schemes.py", "@lru_cache(maxsize=128)\n", ""),
     "byte-index-mask-127": (
@@ -130,7 +132,9 @@ MUTANTS = {
     "fill-skew": (
         "tables.py", "slots[tail] + skew", "slots[tail]"),
     "next-mismatch-rule": (
-        "tables.py", "shifts.append(shifts[t])", "shifts.append(t)"),
+        "tables.py", "shifts[j] = shifts[t] if", "shifts[j] = t if"),
+    "fill-skip-items": (
+        "tables.py", "zip(_items(hashes),", "zip(hashes,"),
     "hal-variant-scheme": (
         "search.py", "_HAL[name] or scheme", "scheme or _HAL[name]"),
     "bind-explicit-scheme": (
