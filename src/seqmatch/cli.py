@@ -101,9 +101,7 @@ def _build_parser():
 def _validate_names(algos, scheme):
     """Check the names; return the scheme that ``scheme`` names, or None."""
     for name in algos:
-        if name not in ALGORITHM_NAMES:
-            raise ValueError(f"unknown algorithm {name!r} "
-                             f"(choose from {', '.join(ALGORITHM_NAMES)})")
+        resolve_algorithm(name)  # an unknown name raises ValueError
     if scheme is not None and scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} "
                          f"(choose from {', '.join(SCHEMES)})")

@@ -105,8 +105,8 @@ def _kind(seq):
     iterates by item, so it raises ValueError before any search starts.
     Exact bytes, exact lists and then arrays are tested first, each at
     the cost of one test: short uncached searches call this four to six
-    times, and every skip table built reads its list of window hashes
-    through ``_items``."""
+    times, and a list text or pattern would otherwise reach the
+    ``hasattr`` and ``length_hint`` tests at the end."""
     if type(seq) is bytes:
         return "byte"
     if type(seq) is list:

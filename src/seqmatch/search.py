@@ -14,7 +14,8 @@ loop's probe index written inline: the source that the scheme's
 one bounded cache of generated code (``schemes._compiled``).  ``nhal``
 drops the hash in favor of a full 16-bit-alphabet table, skewed so that
 zero means "default shift" and one zero-filled table serves many
-searches; it runs the same template with the skew added to each step.
+searches; it runs the same template with ``m``, the skew, added to each
+step.
 The skip loop stops only on a tail hit, which lands at or past ``end =
 n + m``.  A hit whose first symbol misses steps back by ``back``, bound
 with the tables, and re-enters the loop; the alignment ``k`` is set, and
@@ -184,13 +185,13 @@ def _l(text, positions, shifts):
             j = 1  # verify positions 1 .. m-1
             cur = step()
             k += 1
-            while cur == positions[j]:
-                j += 1
-                if j == m:
-                    return k - m + 1
-                cur = step()
-                k += 1
-            while True:  # recover through the failure links
+            while True:  # compare, then recover through the failure links
+                while cur == positions[j]:
+                    j += 1
+                    if j == m:
+                        return k - m + 1
+                    cur = step()
+                    k += 1
                 j = shifts[j]
                 if j < 0:
                     cur = step()
@@ -198,12 +199,6 @@ def _l(text, positions, shifts):
                     break
                 if j == 0:
                     break
-                while cur == positions[j]:
-                    j += 1
-                    if j == m:
-                        return k - m + 1
-                    cur = step()
-                    k += 1
     except StopIteration:
         return None
 
@@ -226,17 +221,17 @@ def search_l(text, pattern):
 
 
 # The one skip-loop search behind al, hal, hal2..hal5, nhal and dispatch.
-# `bind(pattern, shifts, table, hash, skew)` returns `find(text, n)`, for
+# `bind(pattern, shifts, table, hash)` returns `find(text, n)`, for
 # m >= 2 and n = len(text), with the pattern, its failure links `shifts`,
 # its `SkipTable` (built for a text size of at least n), the scheme's
-# `hash` (for nhal over 16-bit ints, its low-byte guard), nhal's `skew`
-# and, in `{tables}`, the combine tables that `{index}` reads bound as
+# `hash` (for nhal over 16-bit ints, its low-byte guard) and, in
+# `{tables}`, the combine tables that `{index}` reads bound as
 # positional defaults, read as fast locals.  Where n < m,
 # `pos = m - 1` starts at or past n, so `find` returns None before it
 # reads the text.  The skip loop adds `{index}`, its step, inline:
 # `skip[<index>]` with a scheme's probe(text) for hal, `skip[text[pos]] +
-# skew` for nhal, after the guard where it has one; `{low}` binds the
-# byte view a low-byte read needs.
+# m` for nhal, whose table is skewed by m, after the guard where it has
+# one; `{low}` binds the byte view a low-byte read needs.
 # Only a tail hit stops the loop at `end` = n + m or beyond: the tail
 # slot adds `adjustment` - m + 1 to the probed position, so the hit's
 # alignment starts at `pos - adjustment`.  A hit whose first symbol
@@ -246,11 +241,11 @@ def search_l(text, pattern):
 # a mismatch at `j < mismatch_shift`, else at the alignment `k` where the
 # failure-link recovery ends.
 _SKIP_SEARCH = """\
-def bind(pattern, shifts, table, hash, skew):
+def bind(pattern, shifts, table, hash):
     def find(text, n, pattern=pattern, m=len(pattern), first=pattern[0],
              shifts=shifts, skip=table.shifts,
              mismatch_shift=table.mismatch_shift,
-             adjustment=table.adjustment, hash=hash, skew=skew{tables},
+             adjustment=table.adjustment, hash=hash{tables},
              back=table.adjustment - table.mismatch_shift - len(pattern) + 1):
         {low}
         pos = m - 1
@@ -297,7 +292,7 @@ def bind(pattern, shifts, table, hash, skew):
 # nhal's unhashed, skewed searches, compiled once, at import: the guarded
 # one reads the full table only where the guard at the low byte reads 0;
 # `_bind` compiles the hashed ones per probe index through the same cache
-_STEP = "skip[text[pos]] + skew"
+_STEP = "skip[text[pos]] + m"
 _nhal_search = _compiled(_SKIP_SEARCH, "bind", _STEP)
 _guarded_search = _compiled(_SKIP_SEARCH, "bind", "hash[low[pos]] or " + _STEP)
 
@@ -322,7 +317,7 @@ def _bind(text, pattern, scheme, n):
         return lambda text, n: _l(text, pattern, shifts)
     return _compiled(_SKIP_SEARCH, "bind", f"skip[{scheme.probe(text)}]")(
         pattern, shifts, compute_skip(pattern, scheme, max(n, _TAIL - 1)),
-        scheme.hash, 0)
+        scheme.hash)
 
 
 def _hal(text, pattern, n, m, scheme):
@@ -367,10 +362,11 @@ class ReusableSkipTable:
     """Full 16-bit-alphabet shift storage, zero-filled between searches.
 
     A search fills it through ``tables._fill_skip`` with a skew of
-    ``m``, the default shift, so a zero slot reads as that default; every
-    slot the search wrote is zeroed again before it returns.  One
-    instance can therefore be reused indefinitely, paying the
-    65536-slot initialization once.  Any number of threads may share
+    ``m``, the default shift for a window of one symbol, and its skip
+    loop adds ``m`` back to each slot it reads, so a zero slot reads as
+    that default; every slot the search wrote is zeroed again before it
+    returns.  One instance can therefore be reused indefinitely, paying
+    the 65536-slot initialization once.  Any number of threads may share
     one: a search holds ``lock`` while it uses the slots, and a search
     that finds the lock held uses a fresh table of its own instead.
     """
@@ -392,11 +388,10 @@ def _nhal(text, pattern, n, m, table):
         table = ReusableSkipTable()  # busy: search a private table
         table.lock.acquire()
     slots = table.slots
-    skew = m  # suffix size 1, so the default shift is m - 1 + 1
     try:
         return (_guarded_search if guard else _nhal_search)(
             pattern, compute_next(pattern),
-            _fill_skip(slots, pattern, m, skew, n), guard, skew)(text, n)
+            _fill_skip(slots, pattern, m, m, n), guard)(text, n)
     except (IndexError, TypeError):
         # only a probed text symbol can index past the table, or fail
         # to index it at all
@@ -481,4 +476,5 @@ def resolve_algorithm(name, scheme=None):
         return lambda text, pattern: search_hal(text, pattern, scheme)
     if name in _SEARCHES:
         return _SEARCHES[name]
-    raise ValueError(f"unknown algorithm {name!r}")
+    raise ValueError(f"unknown algorithm {name!r} "
+                     f"(choose from {', '.join(ALGORITHM_NAMES)})")

@@ -11,7 +11,7 @@ alignment may jump.
 from dataclasses import dataclass
 
 from .errors import EmptyPattern, SuffixTooLong
-from .schemes import _compiled, _items
+from .schemes import _compiled
 
 
 def compute_next(pattern):
@@ -33,7 +33,9 @@ def compute_next(pattern):
     m = len(pattern)
     if m == 0:
         raise EmptyPattern("cannot preprocess an empty pattern")
-    symbols = list(_items(pattern))  # a list indexes on CPython's fast path
+    # a list indexes on CPython's fast path; an mmap copies as 1-byte
+    # bytes, which compare with each other as its ints do
+    symbols = list(pattern)
     shifts = [-1] * m
     j = 0
     t = -1
@@ -66,11 +68,10 @@ def _fill_skip(slots, hashes, m, skew, text_size):
     # `hashes` are the pattern's window hashes, tail last; each slot
     # holds its value less `skew`.  The tail slot's `large` exceeds
     # every text position, so only a tail hit stops the skip loop.
-    # `hashes` is iterated, not indexed, through `_items`: nhal passes
-    # its pattern, and an mmap iterates as 1-byte bytes.
+    # nhal passes its pattern as `hashes`: an mmap indexes as ints.
     last = len(hashes) - 1
-    for h, shift in zip(_items(hashes), range(last - skew, -skew, -1)):
-        slots[h] = shift
+    for i in range(last):
+        slots[hashes[i]] = last - i - skew
     tail = hashes[last]
     mismatch_shift = slots[tail] + skew
     large = text_size + 1

@@ -215,10 +215,13 @@ def _pinned_inputs():
 
 
 # (position, (comparisons, accesses, big jumps, other cursor ops)) per
-# skip-loop algorithm; any change to these is a change to the counted
+# algorithm; any change to these is a change to the counted
 # reports, so it must be deliberate.
 PINNED_COUNTS = {
     "english-present": {
+        "sf": (2100, (2216, 0, 2, 2214)),
+        "kmp": (2100, (2212, 0, 0, 2212)),
+        "l": (2100, (2212, 0, 0, 2112)),
         "al": (2100, (14, 245, 233, 26)),
         "hal": (2100, (14, 245, 233, 26)),
         "hal2": (2100, (14, 408, 202, 220)),
@@ -228,6 +231,9 @@ PINNED_COUNTS = {
         "nhal": (2100, (14, 245, 233, 26)),
     },
     "english-absent": {
+        "sf": (None, (2987, 0, 0, 2987)),
+        "kmp": (None, (3000, 0, 0, 3000)),
+        "l": (None, (3000, 0, 0, 3000)),
         "al": (None, (23, 315, 327, 11)),
         "hal": (None, (23, 315, 327, 11)),
         "hal2": (None, (0, 504, 237, 267)),
@@ -237,6 +243,9 @@ PINNED_COUNTS = {
         "nhal": (None, (23, 315, 327, 11)),
     },
     "dna-present": {
+        "sf": (2500, (3341, 0, 39, 3302)),
+        "kmp": (2500, (3128, 0, 0, 3128)),
+        "l": (2500, (3128, 0, 0, 2530)),
         "al": (2500, (306, 843, 1054, 95)),
         "hal": (2500, (306, 843, 1054, 95)),
         "hal2": (2500, (42, 374, 180, 236)),
@@ -246,6 +255,9 @@ PINNED_COUNTS = {
         "nhal": (2500, (306, 843, 1054, 95)),
     },
     "dna-absent": {
+        "sf": (None, (3987, 0, 52, 3935)),
+        "kmp": (None, (3733, 0, 0, 3733)),
+        "l": (None, (3733, 0, 0, 3000)),
         "al": (None, (361, 1195, 1188, 368)),
         "hal": (None, (361, 1195, 1188, 368)),
         "hal2": (None, (8, 296, 134, 170)),
@@ -255,6 +267,9 @@ PINNED_COUNTS = {
         "nhal": (None, (361, 1195, 1188, 368)),
     },
     "ab-recovery": {
+        "sf": (174, (357, 0, 21, 336)),
+        "kmp": (174, (186, 0, 0, 186)),
+        "l": (174, (186, 0, 0, 185)),
         "al": (174, (119, 93, 101, 111)),
         "hal": (174, (119, 93, 101, 111)),
         "hal2": (174, (52, 90, 50, 92)),
@@ -264,6 +279,9 @@ PINNED_COUNTS = {
         "nhal": (174, (119, 93, 101, 111)),
     },
     "wide-present": {
+        "sf": (1500, (1506, 0, 0, 1506)),
+        "kmp": (1500, (1506, 0, 0, 1506)),
+        "l": (1500, (1506, 0, 0, 1506)),
         "hal": (1500, (7, 254, 253, 8)),
         "nhal": (1500, (6, 251, 251, 6)),
     },

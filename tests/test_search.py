@@ -319,6 +319,26 @@ def test_nhal_guard_is_exact_and_serves_16_bit_buffers_only(monkeypatch):
                 assert not any(table.slots)
 
 
+@pytest.mark.parametrize("find, wrap, calls", [
+    (search_hal, bytes, 5),
+    (dispatch_search, lambda data: array("H", list(data)), 6),
+    (search_nhal, lambda data: array("H", list(data)), 4),
+], ids=["search_hal-bytes", "dispatch-H", "search_nhal-H"])
+def test_an_uncached_search_classifies_its_inputs_a_fixed_number_of_times(
+        monkeypatch, find, wrap, calls):
+    # `schemes._kind` is the one rule on an input's type, and preprocessing
+    # classifies nothing: compute_next and _fill_skip read any sequence
+    seen = []
+
+    def spy(seq, kind=schemes._kind):
+        seen.append(type(seq).__name__)
+        return kind(seq)
+    monkeypatch.setattr(schemes, "_kind", spy)
+    monkeypatch.setattr(search, "_kind", spy)
+    assert find(wrap(b"xxabcdxxabxx" * 4), wrap(b"abcd")).position == 2
+    assert len(seen) == calls, seen
+
+
 def test_no_byte_view_outlives_its_call():
     # a low-byte probe reads a view of its array, and an array with a
     # view cannot be resized: every search and table build drops its view
@@ -934,7 +954,7 @@ def test_algorithm_names_keep_their_order():
 
 
 def test_resolve_algorithm_rejects_unknown_names():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="choose from sf, kmp, l, al, hal"):
         resolve_algorithm("boyer")
 
 

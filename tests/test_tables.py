@@ -39,8 +39,9 @@ def test_compute_next_exhaustive_binary_patterns():
 
 
 def test_preprocessing_reads_every_pattern_type_as_bytes():
-    # compute_next and _fill_skip iterate the pattern, where an mmap
-    # yields 1-byte bytes: each pattern type gives the bytes results
+    # compute_next copies the pattern into a list, where an mmap gives
+    # 1-byte bytes, and _fill_skip indexes it, where an mmap gives ints:
+    # each pattern type gives the bytes results
     rng = random.Random(32)
     for _ in range(60):
         data = bytes(rng.choices(b"ab\xff", k=rng.randint(1, 30)))
@@ -50,7 +51,8 @@ def test_preprocessing_reads_every_pattern_type_as_bytes():
                      for skew in (0, m)]
         with mmap.mmap(-1, m) as mapped:
             mapped.write(data)
-            for pattern in (mapped, array("H", list(data)), list(data)):
+            for pattern in (mapped, array("H", list(data)), list(data),
+                            bytearray(data), memoryview(data), tuple(data)):
                 assert compute_next(pattern) == want_next, pattern
                 assert [_fill_skip([0] * 256, pattern, m, skew, 100)
                         for skew in (0, m)] == want_skip, pattern

@@ -68,17 +68,23 @@ MUTANTS = {
         "_CACHED_TEXTS = (bytes, bytearray, str, memoryview)"),
     "bind-forward-rule": (
         "search.py", "if s == 0 or len(pattern) < s:", "if s == 0:"),
+    "l-recovery-link": (
+        "search.py", "j = shifts[j]\n                if j < 0:\n"
+        "                    cur = step()",
+        "j = shifts[j - 1]\n                if j < 0:\n"
+        "                    cur = step()"),
     "edge-size-one": (
         "search.py", "if n < m or m < 2:", "if n < m or m < 1:"),
     "nhal-skew": (
-        "search.py", "skew = m  #", "skew = m + 1  #"),
+        "search.py", "_fill_skip(slots, pattern, m, m, n)",
+        "_fill_skip(slots, pattern, m, m + 1, n)"),
     "nhal-busy-ignored": (
         "search.py", "if not table.lock.acquire(blocking=False):",
         "if not table.lock.acquire(blocking=False) and False:"),
     "nhal-no-release": (
         "search.py", "        table.lock.release()\n", ""),
     "nhal-step-skew": (
-        "search.py", '_STEP = "skip[text[pos]] + skew"',
+        "search.py", '_STEP = "skip[text[pos]] + m"',
         '_STEP = "skip[text[pos]]"'),
     "nhal-guard-default": (
         "search.py", "guard = [m] * 256", "guard = [m + 1] * 256"),
@@ -133,8 +139,8 @@ MUTANTS = {
         "tables.py", "slots[tail] + skew", "slots[tail]"),
     "next-mismatch-rule": (
         "tables.py", "shifts[j] = shifts[t] if", "shifts[j] = t if"),
-    "fill-skip-items": (
-        "tables.py", "zip(_items(hashes),", "zip(hashes,"),
+    "fill-skip-range": (
+        "tables.py", "for i in range(last):", "for i in range(last - 1):"),
     "hal-variant-scheme": (
         "search.py", "_HAL[name] or scheme", "scheme or _HAL[name]"),
     "bind-explicit-scheme": (
